@@ -262,8 +262,9 @@ obs::Json mixed_workload(bool smoke, bool* agreement_ok) {
 }
 
 // Reduce-phase scaling: hfx.reduce_seconds at 1 vs 8 threads for the
-// same build. The row-blocked tree makes this flat-to-shrinking in
-// thread count; the old serial sum grew linearly with it.
+// same build. Slot partials combine in the slot tree while tasks run, so
+// the remaining reduce phase (reading out and symmetrizing J/K) is flat
+// in thread count; a serial sum of per-thread buffers grew linearly.
 obs::Json reduce_scaling(bool smoke) {
   bench::print_header(
       "A7: K-accumulator reduction, hfx.reduce_seconds by thread count");

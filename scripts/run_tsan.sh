@@ -3,11 +3,12 @@
 #
 # Covers the concurrency-sensitive surface: the thread pool, the
 # work-stealing scheduler (both steal paths and their stats counters),
-# the row-blocked tree reduction (TreeReduce.* rides inside the full
+# the row-blocked tree reduction and the deterministic slot accumulator
+# (TreeReduce.*, SlotPlan.* and SlotReducer.* ride inside the full
 # test_parallel run), the obs registry's lock-free per-thread slots, the
-# HFX scheduler exactness tests, and the screening engine's job queue +
-# multi-job scheduler. A data race anywhere in that stack fails this
-# script.
+# HFX scheduler exactness tests, the threaded dense and blocked J/K
+# builds, and the screening engine's job queue + multi-job scheduler. A
+# data race anywhere in that stack fails this script.
 #
 # Usage: scripts/run_tsan.sh [build-dir]   (default: build-tsan)
 
@@ -19,7 +20,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DMTHFX_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j --target test_parallel test_obs test_hfx \
   test_fault test_engine test_durability test_serve test_differential \
-  test_property_scaling
+  test_property_scaling test_determinism
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
@@ -29,6 +30,10 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # contention plus steal-stat consistency, without the integral-heavy
 # numerics (slow under TSan and thread-free anyway).
 "$BUILD_DIR"/tests/test_hfx --gtest_filter='SchedulerExactness*:Schedulers.*:AllSchedules/*'
+# Threaded J/K builds, dense and blocked, at 1-8 threads under every
+# schedule: slot claims, per-thread row scratch and the slot tree combine.
+"$BUILD_DIR"/tests/test_determinism \
+  --gtest_filter='HfxDeterminism.DenseJk*:HfxDeterminism.BlockedJk*'
 # Retry/exactly-once-commit paths of the fault suite: concurrent task
 # failure, requeue, and attempt accounting across every schedule.
 "$BUILD_DIR"/tests/test_fault --gtest_filter='AllSchedules/*:Schedulers.*'
@@ -49,14 +54,13 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
   --gtest_filter='Serve.WeightedFairShareRatioUnderSaturation:Serve.ConcurrentClientsRaceCleanly:Serve.SubmitResultBitIdenticalToDirectRun'
 # Small-iteration differential subset: randomized schedule x thread-count
 # builds race the bag/steal protocols on fresh task shapes each case,
-# and every build ends in the shared-pool tree reduction of the
-# thread-private K accumulators.
+# and every build combines its slot partials in the slot tree.
 MTHFX_PROPERTY_ITERS=3 "$BUILD_DIR"/tests/test_differential \
   --gtest_filter='Differential.ThreadCountIsInvisibleAcrossSchedules:Differential.ScreenedBuildMatchesBruteForceAcrossSchedules'
 # Sparsity pipeline: cell-list candidate enumeration and the blocked
 # J/K replay share the obs registry's per-thread counter slots with the
 # dense builder's pool; small-iteration cases keep the lock-free
-# counter paths and any future threading of the blocked walk honest.
+# counter paths and the threaded blocked walk honest.
 MTHFX_PROPERTY_ITERS=3 "$BUILD_DIR"/tests/test_property_scaling \
   --gtest_filter='PropertyScaling.CellListCandidatesCoverSurvivingPairs:PropertyScaling.BlockedJkReplaysDenseBuilder'
 

@@ -8,14 +8,13 @@
 #include <unordered_map>
 #include <stdexcept>
 
-#include "hfx/quartet_digest.hpp"
 #include "hfx/schedulers.hpp"
 #include "ints/eri.hpp"
 #include "ints/eri_batch.hpp"
 #include "ints/schwarz.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "parallel/reduce.hpp"
+#include "parallel/slots.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace mthfx::hfx {
@@ -23,27 +22,42 @@ namespace mthfx::hfx {
 using chem::BasisSet;
 using linalg::Matrix;
 
-namespace detail {
+namespace {
 
-// See quartet_digest.hpp — shared with the blocked build.
+// Digest one computed shell quartet into the row-major nao x nao J/K
+// accumulators (j_acc null for an exchange-only build).
+//
+// For a canonical AO quartet (i >= j, k >= l, pair(ij) >= pair(kl)) the
+// 8-member permutational orbit collapses according to three coincidence
+// flags: e1 = (i == j), e2 = (k == l), e3 = (ij == kl). The update lists
+// enumerate exactly the distinct orbit members for every flag
+// combination (verified case-by-case against explicit orbit
+// deduplication in the unit tests via the dense reference).
 void digest_quartet(const BasisSet& basis, std::uint32_t sa, std::uint32_t sb,
                     std::uint32_t sc, std::uint32_t sd,
                     const ints::EriBlock& block, const Matrix& density,
-                    Matrix* j_acc, Matrix& k_acc, bool braket_same,
+                    double* j_acc, double* k_acc, bool braket_same,
                     double eps_contribution) {
+  const std::size_t n = basis.num_functions();
   const std::size_t oa = basis.first_function(sa);
   const std::size_t ob = basis.first_function(sb);
   const std::size_t oc = basis.first_function(sc);
   const std::size_t od = basis.first_function(sd);
   const bool ab_same = (sa == sb);
   const bool cd_same = (sc == sd);
+  const auto kmat = [&](std::size_t r, std::size_t c) -> double& {
+    return k_acc[r * n + c];
+  };
+  const auto jmat = [&](std::size_t r, std::size_t c) -> double& {
+    return j_acc[r * n + c];
+  };
 
   for (std::size_t ia = 0; ia < block.na; ++ia) {
     const std::size_t i = oa + ia;
     for (std::size_t ib = 0; ib < block.nb; ++ib) {
-      const std::size_t jj = ob + ib;
-      if (ab_same && i < jj) continue;
-      const std::size_t ij = i * (i + 1) / 2 + jj;
+      const std::size_t j = ob + ib;
+      if (ab_same && i < j) continue;
+      const std::size_t ij = i * (i + 1) / 2 + j;
       for (std::size_t ic = 0; ic < block.nc; ++ic) {
         const std::size_t k = oc + ic;
         const std::size_t klbase = k * (k + 1) / 2;
@@ -54,46 +68,35 @@ void digest_quartet(const BasisSet& basis, std::uint32_t sa, std::uint32_t sb,
           const double v = block(ia, ib, ic, id);
           if (std::abs(v) < eps_contribution) continue;
 
-          const bool e1 = (i == jj);
+          const bool e1 = (i == j);
           const bool e2 = (k == l);
-          const bool e3 = (i == k && jj == l);
+          const bool e3 = (i == k && j == l);
 
           if (j_acc) {
-            Matrix& j = *j_acc;
             const double jv1 = (e2 ? 1.0 : 2.0) * density(k, l) * v;
-            j(i, jj) += jv1;
-            if (!e1) j(jj, i) += jv1;
+            jmat(i, j) += jv1;
+            if (!e1) jmat(j, i) += jv1;
             if (!e3) {
-              const double jv2 = (e1 ? 1.0 : 2.0) * density(i, jj) * v;
-              j(k, l) += jv2;
-              if (!e2) j(l, k) += jv2;
+              const double jv2 = (e1 ? 1.0 : 2.0) * density(i, j) * v;
+              jmat(k, l) += jv2;
+              if (!e2) jmat(l, k) += jv2;
             }
           }
 
-          k_acc(i, k) += density(jj, l) * v;
-          if (!e1) k_acc(jj, k) += density(i, l) * v;
-          if (!e2) k_acc(i, l) += density(jj, k) * v;
-          if (!e1 && !e2) k_acc(jj, l) += density(i, k) * v;
+          kmat(i, k) += density(j, l) * v;
+          if (!e1) kmat(j, k) += density(i, l) * v;
+          if (!e2) kmat(i, l) += density(j, k) * v;
+          if (!e1 && !e2) kmat(j, l) += density(i, k) * v;
           if (!e3) {
-            k_acc(k, i) += density(l, jj) * v;
-            if (!e2) k_acc(l, i) += density(k, jj) * v;
-            if (!e1) k_acc(k, jj) += density(l, i) * v;
-            if (!e1 && !e2) k_acc(l, jj) += density(k, i) * v;
+            kmat(k, i) += density(l, j) * v;
+            if (!e2) kmat(l, i) += density(k, j) * v;
+            if (!e1) kmat(k, j) += density(l, i) * v;
+            if (!e1 && !e2) kmat(l, j) += density(k, i) * v;
           }
         }
       }
     }
   }
-}
-
-}  // namespace detail
-
-namespace {
-
-bool all_finite(const Matrix& m) {
-  for (const double v : m.flat())
-    if (!std::isfinite(v)) return false;
-  return true;
 }
 
 // Pair formation for the constructor's member-init list: the culled
@@ -256,11 +259,89 @@ JkResult FockBuilder::coulomb_exchange(const Matrix& density) const {
   return build(density, /*want_coulomb=*/true);
 }
 
+void FockBuilder::digest_row(std::uint32_t bra,
+                             std::span<const std::uint32_t> kets,
+                             const Matrix& density, double* k,
+                             double* j) const {
+  if (kets.empty()) return;
+  const double eps_contribution = options_.contribution_cutoff();
+  const ShellPair& b = pairs_[bra];
+  if (options_.eri_kernel == ints::EriKernel::kBatched) {
+    // One micro-kernel call evaluates the whole stream; the returned
+    // blocks are digested in the given ket order. (Both buffers keep
+    // their capacity across rows.)
+    thread_local std::vector<ints::QuartetRef> stream;
+    thread_local std::vector<ints::EriBlock> blocks;
+    stream.clear();
+    for (const std::uint32_t kk : kets)
+      stream.push_back({&pair_hermites_[bra], &pair_hermites_[kk]});
+    if (blocks.size() < kets.size()) blocks.resize(kets.size());
+    ints::eri_shell_quartet_batched({stream.data(), stream.size()},
+                                    blocks.data());
+    for (std::size_t i = 0; i < kets.size(); ++i) {
+      const ShellPair& ket = pairs_[kets[i]];
+      digest_quartet(*basis_, b.sa, b.sb, ket.sa, ket.sb, blocks[i], density,
+                     j, k, /*braket_same=*/kets[i] == bra, eps_contribution);
+    }
+    return;
+  }
+  thread_local ints::EriBlock block;
+  for (const std::uint32_t kk : kets) {
+    if (options_.eri_kernel == ints::EriKernel::kDenseReference)
+      ints::eri_shell_quartet_dense_reference(pair_hermites_[bra],
+                                              pair_hermites_[kk], block);
+    else
+      ints::eri_shell_quartet(pair_hermites_[bra], pair_hermites_[kk], block);
+    const ShellPair& ket = pairs_[kk];
+    digest_quartet(*basis_, b.sa, b.sb, ket.sa, ket.sb, block, density, j, k,
+                   /*braket_same=*/kk == bra, eps_contribution);
+  }
+}
+
+void FockBuilder::run_slots(std::span<const double> costs, bool want_coulomb,
+                            const SlotUnit& unit, obs::Registry& registry,
+                            JkResult& result) const {
+  const std::size_t nao = basis_->num_functions();
+  const std::size_t nn = nao * nao;
+  // One slot buffer holds K, then J.
+  const parallel::SlotPlan plan =
+      parallel::plan_slots(costs, want_coulomb ? 2 * nn : nn);
+  parallel::SlotReducer reducer(plan.size(), want_coulomb ? 2 * nn : nn);
+  parallel::ThreadPool pool(registry.num_threads());
+  // The buffer of the slot each thread is running.
+  std::vector<parallel::SlotReducer::Buffer> open(pool.num_threads());
+  {
+    obs::Trace::Scope task_span(obs::global_trace(), "jk.tasks");
+    obs::ScopedTimer wall(registry.timer("hfx.wall_seconds"), 0);
+    execute_slots(
+        pool, plan, options_.schedule,
+        [&](std::size_t i, std::size_t tid) {
+          if (!open[tid]) open[tid] = reducer.acquire();
+          double* k = open[tid].get();
+          unit(i, tid, k, want_coulomb ? k + nn : nullptr);
+        },
+        [&](std::size_t slot, std::size_t tid) {
+          reducer.commit(slot, std::move(open[tid]));
+        },
+        &registry, RetryOptions{.max_retries = options_.fault.max_retries});
+  }
+  obs::Trace::Scope reduce_span(obs::global_trace(), "jk.reduce");
+  obs::ScopedTimer reduce(registry.timer("hfx.reduce_seconds"), 0);
+  const std::span<const double> total = reducer.total();
+  result.k =
+      Matrix(nao, nao, std::vector<double>(total.begin(), total.begin() + nn));
+  linalg::symmetrize(result.k);
+  if (want_coulomb) {
+    result.j =
+        Matrix(nao, nao, std::vector<double>(total.begin() + nn, total.end()));
+    linalg::symmetrize(result.j);
+  }
+}
+
 JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   obs::Trace::Scope build_span(obs::global_trace(), "jk.build");
-  const std::size_t nao = basis_->num_functions();
+  const std::size_t nn = basis_->num_functions() * basis_->num_functions();
   const std::size_t nthreads = resolve_thread_count(options_.num_threads);
-  const double eps_contribution = options_.contribution_cutoff();
 
   obs::Registry registry(nthreads);
   const obs::Timer busy_timer = registry.timer("hfx.task_seconds");
@@ -273,20 +354,13 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
                                ? shell_block_max_density(*basis_, density)
                                : Matrix();
 
-  std::vector<Matrix> k_private(nthreads, Matrix(nao, nao));
-  std::vector<Matrix> j_private;
-  if (want_coulomb) j_private.assign(nthreads, Matrix(nao, nao));
-
-  // Transactional commit: tasks digest into a scratch matrix that is
-  // validated and added to the per-thread accumulator only on success, so
-  // a retried (thrown or poisoned) task never double-commits or leaks a
+  // Transactional commit: a task digests into a per-thread scratch that
+  // is validated and added to its slot's buffer only on success, so a
+  // retried (thrown or poisoned) task never double-commits or leaks a
   // partial/corrupt contribution.
   const bool transactional = options_.validate_tasks;
-  std::vector<Matrix> k_scratch, j_scratch;
-  if (transactional) {
-    k_scratch.assign(nthreads, Matrix(nao, nao));
-    if (want_coulomb) j_scratch.assign(nthreads, Matrix(nao, nao));
-  }
+  const std::size_t len = want_coulomb ? 2 * nn : nn;
+  std::vector<std::vector<double>> scratch(transactional ? nthreads : 0);
 
   // Per-task attempt counters give each retry a fresh, independent fault
   // draw; the epoch salts sites so every build in an SCF sequence sees a
@@ -305,7 +379,8 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   if (options_.record_task_costs)
     result.stats.task_costs.assign(tasks_.size(), TaskCostRecord{});
 
-  auto run_task = [&](std::size_t task_index, std::size_t tid) {
+  const auto run_task = [&](std::size_t task_index, std::size_t tid,
+                            double* slot_k, double* slot_j) {
     bool poison = false;
     if (injector_) {
       const std::uint32_t attempt =
@@ -318,26 +393,18 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
     }
     const QuartetTask& task = tasks_[task_index];
     const ShellPair& bra = pairs_[task.bra];
-    Matrix& k_acc = transactional ? k_scratch[tid] : k_private[tid];
-    Matrix* j_acc =
-        want_coulomb ? (transactional ? &j_scratch[tid] : &j_private[tid])
-                     : nullptr;
+    double* k_acc = slot_k;
+    double* j_acc = slot_j;
     if (transactional) {
-      k_acc.fill(0.0);
-      if (j_acc) j_acc->fill(0.0);
+      scratch[tid].assign(len, 0.0);
+      k_acc = scratch[tid].data();
+      j_acc = slot_j ? k_acc + nn : nullptr;
     }
 
     // Screening tallies accumulate locally and flush once per task so
     // the inner quartet loop performs no atomic traffic.
     std::uint64_t considered = 0, schwarz = 0, density_scr = 0, computed = 0;
-    // Batched kernel: survivors of this task's screening loop accumulate
-    // into a quartet stream and are evaluated in one micro-kernel call,
-    // then digested in the same ascending-ket order the scalar path uses.
-    // (All three buffers keep their capacity across tasks.)
-    const bool batched = options_.eri_kernel == ints::EriKernel::kBatched;
     thread_local std::vector<std::uint32_t> survivors;
-    thread_local std::vector<ints::QuartetRef> stream;
-    thread_local std::vector<ints::EriBlock> blocks;
     survivors.clear();
     const obs::Stopwatch watch;
     for (std::uint32_t kk = task.ket_begin; kk < task.ket_end; ++kk) {
@@ -369,48 +436,21 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
         }
       }
       ++computed;
-      if (batched) {
-        survivors.push_back(kk);
-        continue;
-      }
-      thread_local ints::EriBlock block;
-      if (options_.eri_kernel == ints::EriKernel::kDenseReference)
-        ints::eri_shell_quartet_dense_reference(pair_hermites_[task.bra],
-                                                pair_hermites_[kk], block);
-      else
-        ints::eri_shell_quartet(pair_hermites_[task.bra], pair_hermites_[kk],
-                                block);
-      detail::digest_quartet(*basis_, bra.sa, bra.sb, ket.sa, ket.sb, block, density,
-                     j_acc, k_acc, /*braket_same=*/kk == task.bra,
-                     eps_contribution);
+      survivors.push_back(kk);
     }
-    if (batched && !survivors.empty()) {
-      stream.clear();
-      stream.reserve(survivors.size());
-      for (const std::uint32_t kk : survivors)
-        stream.push_back({&pair_hermites_[task.bra], &pair_hermites_[kk]});
-      if (blocks.size() < survivors.size()) blocks.resize(survivors.size());
-      ints::eri_shell_quartet_batched({stream.data(), stream.size()},
-                                      blocks.data());
-      for (std::size_t i = 0; i < survivors.size(); ++i) {
-        const ShellPair& ket = pairs_[survivors[i]];
-        detail::digest_quartet(*basis_, bra.sa, bra.sb, ket.sa, ket.sb, blocks[i],
-                       density, j_acc, k_acc,
-                       /*braket_same=*/survivors[i] == task.bra,
-                       eps_contribution);
-      }
-    }
+    digest_row(task.bra, survivors, density, k_acc, j_acc);
     // A kCorrupt fault models silent data corruption in the task's
     // output. With validation on, the isfinite sweep catches it and the
     // retry path heals it; with validation off it lands in K, which is
     // exactly the hazard validate_tasks exists to close.
-    if (poison) k_acc(0, 0) = std::numeric_limits<double>::quiet_NaN();
+    if (poison) k_acc[0] = std::numeric_limits<double>::quiet_NaN();
     if (transactional) {
-      if (!all_finite(k_acc) || (j_acc && !all_finite(*j_acc)))
+      const std::vector<double>& out = scratch[tid];
+      if (!std::all_of(out.begin(), out.end(),
+                       [](double v) { return std::isfinite(v); }))
         throw std::runtime_error("hfx: non-finite task output (task " +
                                  std::to_string(task_index) + ")");
-      k_private[tid] += k_acc;
-      if (j_acc) j_private[tid] += *j_acc;
+      for (std::size_t i = 0; i < len; ++i) slot_k[i] += out[i];
     }
     // Tallies, timing, and cost records flush only on this success path;
     // a throw above leaves them untouched so retries never double-count.
@@ -429,53 +469,12 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   const std::uint64_t pre_stalls = injector_ ? injector_->stalls() : 0;
   const std::uint64_t pre_corruptions =
       injector_ ? injector_->corruptions() : 0;
-  // One pool serves both parallel phases of the build (task loop, then
-  // accumulator reduction) so threads are spawned once per build.
-  parallel::ThreadPool pool(nthreads);
-  {
-    obs::Trace::Scope task_span(obs::global_trace(), "jk.tasks");
-    obs::ScopedTimer wall(registry.timer("hfx.wall_seconds"), 0);
-    execute_tasks(pool, tasks_.size(), options_.schedule, run_task,
-                  &registry,
-                  RetryOptions{.max_retries = options_.fault.max_retries});
-  }
+  std::vector<double> costs(tasks_.size());
+  for (std::size_t i = 0; i < tasks_.size(); ++i)
+    costs[i] = tasks_[i].est_cost;
+  run_slots(costs, want_coulomb, run_task, registry, result);
 
-  // Reduce the thread-private accumulators with a row-blocked pairwise
-  // tree across the pool — the host analogue of the torus tree reduction
-  // the bgq simulator models at scale. Serial summation here would be
-  // O(nthreads * nao^2) on one thread, growing with exactly the thread
-  // count that is supposed to shrink the build.
-  {
-    obs::Trace::Scope reduce_span(obs::global_trace(), "jk.reduce");
-    obs::ScopedTimer reduce(registry.timer("hfx.reduce_seconds"), 0);
-    std::vector<double*> parts(nthreads);
-    for (std::size_t t = 0; t < nthreads; ++t) parts[t] = k_private[t].data();
-    parallel::tree_reduce(pool, parts, nao * nao);
-    result.k = std::move(k_private.front());
-    linalg::symmetrize(result.k);
-    if (want_coulomb) {
-      for (std::size_t t = 0; t < nthreads; ++t) parts[t] = j_private[t].data();
-      parallel::tree_reduce(pool, parts, nao * nao);
-      result.j = std::move(j_private.front());
-      linalg::symmetrize(result.j);
-    }
-  }
-
-  result.stats.screening.quartets_considered =
-      registry.counter_total("hfx.quartets_considered");
-  result.stats.screening.quartets_schwarz_screened =
-      registry.counter_total("hfx.quartets_schwarz_screened");
-  result.stats.screening.quartets_density_screened =
-      registry.counter_total("hfx.quartets_density_screened");
-  result.stats.screening.quartets_computed =
-      registry.counter_total("hfx.quartets_computed");
-  result.stats.wall_seconds = registry.timer_seconds("hfx.wall_seconds");
-  result.stats.reduce_seconds = registry.timer_seconds("hfx.reduce_seconds");
-  result.stats.thread_busy_seconds =
-      registry.timer_per_thread("hfx.task_seconds");
-  result.stats.fault.retries = registry.counter_total("fault.retries");
-  result.stats.fault.permanent_failures =
-      registry.counter_total("fault.permanent_failures");
+  fill_stats(registry, result.stats);
   if (injector_) {
     result.stats.fault.injected_failures = injector_->failures() - pre_failures;
     result.stats.fault.injected_stalls = injector_->stalls() - pre_stalls;
@@ -488,6 +487,23 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   }
   result.stats.metrics = registry.to_json();
   return result;
+}
+
+void FockBuilder::fill_stats(const obs::Registry& registry, HfxStats& stats) {
+  stats.screening.quartets_considered =
+      registry.counter_total("hfx.quartets_considered");
+  stats.screening.quartets_schwarz_screened =
+      registry.counter_total("hfx.quartets_schwarz_screened");
+  stats.screening.quartets_density_screened =
+      registry.counter_total("hfx.quartets_density_screened");
+  stats.screening.quartets_computed =
+      registry.counter_total("hfx.quartets_computed");
+  stats.wall_seconds = registry.timer_seconds("hfx.wall_seconds");
+  stats.reduce_seconds = registry.timer_seconds("hfx.reduce_seconds");
+  stats.thread_busy_seconds = registry.timer_per_thread("hfx.task_seconds");
+  stats.fault.retries = registry.counter_total("fault.retries");
+  stats.fault.permanent_failures =
+      registry.counter_total("fault.permanent_failures");
 }
 
 }  // namespace mthfx::hfx

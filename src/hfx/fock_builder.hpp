@@ -2,14 +2,18 @@
 
 // Parallel Hartree–Fock exact-exchange (HFX) builder — the paper's core
 // contribution. The quartet list is flattened into cost-estimated tasks
-// (tasks.hpp), screened by Schwarz and density bounds (screening.hpp) and
-// executed over threads with a pluggable scheduler. Thread-private K
-// accumulators are reduced at the end ("replication-free" on the real
-// machine; the BG/Q simulator models that reduction at scale).
+// (tasks.hpp; one bra row each by default), screened by Schwarz and
+// density bounds (screening.hpp) and executed over threads with a
+// pluggable scheduler. Threads claim whole slots of contiguous tasks and
+// slot partials combine in a fixed tree (parallel/slots.hpp), so J and K
+// are bit-identical for every thread count and schedule; the BG/Q
+// simulator models the machine-scale reduction.
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "chem/basis.hpp"
@@ -21,6 +25,10 @@
 #include "linalg/block_sparse.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/json.hpp"
+
+namespace mthfx::obs {
+class Registry;
+}
 
 namespace mthfx::hfx {
 
@@ -80,7 +88,7 @@ struct HfxOptions {
   bool density_screening = true;  ///< stage-two |P|-weighted screening
   HfxSchedule schedule = HfxSchedule::kDynamicBag;
   std::size_t num_threads = 0;    ///< 0 selects hardware concurrency
-  double target_task_cost = 0.0;  ///< 0 selects a heuristic granularity
+  double target_task_cost = 0.0;  ///< 0 selects one task per bra row
   bool record_task_costs = false; ///< collect per-task timings (for bgq sim)
 
   /// Seeded fault injection (off by default: all rates zero). max_retries
@@ -88,7 +96,7 @@ struct HfxOptions {
   /// injection.
   fault::FaultOptions fault;
   /// Transactional task commit: digest into a per-thread scratch matrix,
-  /// sweep it with std::isfinite, and add it to the accumulator only when
+  /// sweep it with std::isfinite, and add it to the slot buffer only when
   /// clean — a poisoned (NaN/Inf) task throws and is retried instead of
   /// corrupting K. Costs one extra nao^2 zero+add per task.
   bool validate_tasks = false;
@@ -131,7 +139,7 @@ struct HfxStats {
   std::size_t num_pairs_unscreened = 0;
   std::size_t num_tasks = 0;
   double wall_seconds = 0.0;
-  double reduce_seconds = 0.0;               ///< thread-private K/J reduction
+  double reduce_seconds = 0.0;               ///< final J/K extraction
   std::vector<double> thread_busy_seconds;   ///< per-thread kernel time
   std::vector<TaskCostRecord> task_costs;    ///< filled if record_task_costs
   obs::Json metrics;  ///< full registry snapshot (counters + timers)
@@ -216,6 +224,29 @@ class FockBuilder {
   JkResult build(const linalg::Matrix& density, bool want_coulomb) const;
   JkResult build_blocked(const linalg::BlockSparseMatrix& density,
                          bool want_coulomb) const;
+
+  /// Evaluates the quartets (bra | kets[i]) with the configured kernel
+  /// and digests them, in the given order, into the row-major nao x nao
+  /// accumulators k and j (j null for exchange only) — the one
+  /// kernel-dispatch + digestion loop of the dense and blocked builds.
+  void digest_row(std::uint32_t bra, std::span<const std::uint32_t> kets,
+                  const linalg::Matrix& density, double* k, double* j) const;
+
+  /// unit(index, thread, k, j): digest work unit `index` into the slot
+  /// accumulators k and j (j null for exchange only).
+  using SlotUnit =
+      std::function<void(std::size_t, std::size_t, double*, double*)>;
+
+  /// The slot scheme both builds share: cuts the work units (one cost
+  /// each) into slots, runs every unit under the configured schedule on
+  /// registry.num_threads() threads, and stores the fixed-tree sum of the
+  /// slot partials, symmetrized, in result.k (and result.j).
+  void run_slots(std::span<const double> costs, bool want_coulomb,
+                 const SlotUnit& unit, obs::Registry& registry,
+                 JkResult& result) const;
+
+  /// Screening tallies, timers and retry counters of a finished build.
+  static void fill_stats(const obs::Registry& registry, HfxStats& stats);
   void index_pairs_by_shell();
 
   const chem::BasisSet* basis_;

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "hfx/schedulers.hpp"
 #include "hfx/screening.hpp"
+#include "hfx/tasks.hpp"
 #include "ints/deriv.hpp"
 #include "ints/schwarz.hpp"
+#include "parallel/slots.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace mthfx::hfx {
@@ -36,13 +39,20 @@ std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,
   // Upper bound on |Gamma| for the bra-sorted early exit.
   const double gamma_cap = (1.0 + ax) * global_pmax * global_pmax;
 
-  const std::size_t nthreads =
-      parallel::resolve_thread_count(options.num_threads);
-  std::vector<std::vector<Vec3>> g_private(
-      nthreads, std::vector<Vec3>(natoms, Vec3{0, 0, 0}));
+  // Bra rows accumulate through the deterministic slot scheme
+  // (parallel/slots.hpp): rows are cut into slots by the dense cost
+  // model, so the gradient is bit-identical for any thread count.
+  parallel::ThreadPool pool(options.num_threads);
+  const std::vector<QuartetTask> rows = make_tasks(basis, pairs);
+  std::vector<double> costs(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) costs[i] = rows[i].est_cost;
+  const parallel::SlotPlan plan = parallel::plan_slots(costs, 3 * natoms);
+  parallel::SlotReducer reducer(plan.size(), 3 * natoms);
+  std::vector<parallel::SlotReducer::Buffer> open(pool.num_threads());
 
   auto run_bra = [&](std::size_t ib, std::size_t tid) {
-    std::vector<Vec3>& acc = g_private[tid];
+    if (!open[tid]) open[tid] = reducer.acquire();
+    double* acc = open[tid].get();
     const ShellPair& bra = pairs[ib];
     const chem::Shell& a = basis.shell(bra.sa);
     const chem::Shell& b = basis.shell(bra.sb);
@@ -96,27 +106,21 @@ std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,
               for (std::size_t ctr = 0; ctr < 3; ++ctr)
                 for (std::size_t d = 0; d < 3; ++d) {
                   const double contrib = pref * dblk.g[ctr][d][idx];
-                  acc[centers[ctr]][d] += contrib;
+                  acc[3 * centers[ctr] + d] += contrib;
                   // D center by translational invariance.
-                  acc[centers[3]][d] -= contrib;
+                  acc[3 * centers[3] + d] -= contrib;
                 }
             }
     }
   };
 
-  if (nthreads == 1) {
-    for (std::size_t ib = 0; ib < pairs.size(); ++ib) run_bra(ib, 0);
-  } else {
-    // Round-robin static chunks: deterministic bra->thread assignment
-    // (for a fixed thread count) that still balances the triangular
-    // ket-count profile across the pool.
-    parallel::ThreadPool pool(nthreads);
-    pool.parallel_for(0, pairs.size(), run_bra,
-                      parallel::Schedule::kStaticCyclic, 1);
-  }
-  for (std::size_t t = 0; t < nthreads; ++t)
-    for (std::size_t at = 0; at < natoms; ++at)
-      grad[at] = grad[at] + g_private[t][at];
+  execute_slots(pool, plan, HfxSchedule::kDynamicBag, run_bra,
+                [&](std::size_t slot, std::size_t tid) {
+                  reducer.commit(slot, std::move(open[tid]));
+                });
+  const std::span<const double> total = reducer.total();
+  for (std::size_t at = 0; at < natoms; ++at)
+    grad[at] = Vec3{total[3 * at], total[3 * at + 1], total[3 * at + 2]};
   return grad;
 }
 

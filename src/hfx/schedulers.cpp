@@ -1,11 +1,10 @@
 #include "hfx/schedulers.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <memory>
 #include <mutex>
 #include <thread>
 
+#include "parallel/slots.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing.hpp"
 
@@ -40,6 +39,86 @@ struct FailureLog {
   std::vector<TaskFailure::Failed> failures;
 };
 
+/// Runs tasks with in-place retry and the per-task accounting shared by
+/// execute_tasks and execute_slots.
+class TaskRunner {
+ public:
+  TaskRunner(const std::function<void(std::size_t, std::size_t)>& body,
+             obs::Registry* registry, const RetryOptions& retry)
+      : body_(body), retry_(retry) {
+    if (registry) {
+      tasks_executed_ = registry->counter("sched.tasks_executed");
+      retries_ = registry->counter("fault.retries");
+      permanent_failures_ = registry->counter("fault.permanent_failures");
+    }
+  }
+
+  // Commit accounting happens *after* the body returns, so a throwing
+  // attempt is never counted: one increment == one successful task.
+  void run(std::size_t i, std::size_t tid) {
+    for (std::size_t attempt = 1;; ++attempt) {
+      std::string error;
+      try {
+        body_(i, tid);
+        tasks_executed_.add(tid);
+        return;
+      } catch (const std::exception& e) {
+        error = e.what();
+      } catch (...) {
+        error = "unknown error";
+      }
+      if (attempt > retry_.max_retries) {
+        permanent_failures_.add(tid);
+        failure_log_.add(i, attempt, std::move(error));
+        return;
+      }
+      retries_.add(tid);
+      backoff_sleep(retry_.backoff_seconds, attempt);
+    }
+  }
+
+  void throw_if_failed() {
+    if (!failure_log_.failures.empty())
+      throw TaskFailure(std::move(failure_log_.failures));
+  }
+
+ private:
+  const std::function<void(std::size_t, std::size_t)>& body_;
+  const RetryOptions& retry_;
+  obs::Counter tasks_executed_;
+  obs::Counter retries_;
+  obs::Counter permanent_failures_;
+  FailureLog failure_log_;
+};
+
+/// Hands work units [0, num_units) to the pool's threads under `schedule`.
+void dispatch(parallel::ThreadPool& pool, std::size_t num_units,
+              HfxSchedule schedule,
+              const std::function<void(std::size_t, std::size_t)>& unit,
+              obs::Registry* registry) {
+  switch (schedule) {
+    case HfxSchedule::kDynamicBag:
+      pool.parallel_for(0, num_units, unit, parallel::Schedule::kDynamic);
+      break;
+    case HfxSchedule::kStaticBlock:
+      pool.parallel_for(0, num_units, unit, parallel::Schedule::kStatic);
+      break;
+    case HfxSchedule::kStaticCyclic:
+      pool.parallel_for(0, num_units, unit,
+                        parallel::Schedule::kStaticCyclic);
+      break;
+    case HfxSchedule::kWorkStealing: {
+      parallel::WorkStealingScheduler ws(pool.num_threads());
+      ws.seed(num_units);
+      pool.parallel_region([&](std::size_t tid) {
+        while (auto u = ws.next(tid)) unit(static_cast<std::size_t>(*u), tid);
+      });
+      if (registry) ws.record(*registry);
+      break;
+    }
+  }
+}
+
 }  // namespace
 
 TaskFailure::TaskFailure(std::vector<Failed> failed_tasks)
@@ -57,107 +136,30 @@ void execute_tasks(std::size_t num_tasks, std::size_t num_threads,
                    const std::function<void(std::size_t, std::size_t)>& body,
                    obs::Registry* registry, const RetryOptions& retry) {
   parallel::ThreadPool pool(num_threads);
-  execute_tasks(pool, num_tasks, schedule, body, registry, retry);
+  pool.set_registry(registry);
+  TaskRunner runner(body, registry, retry);
+  dispatch(
+      pool, num_tasks, schedule,
+      [&](std::size_t i, std::size_t tid) { runner.run(i, tid); }, registry);
+  runner.throw_if_failed();
 }
 
-void execute_tasks(parallel::ThreadPool& pool, std::size_t num_tasks,
+void execute_slots(parallel::ThreadPool& pool, const parallel::SlotPlan& plan,
                    HfxSchedule schedule,
                    const std::function<void(std::size_t, std::size_t)>& body,
+                   const std::function<void(std::size_t, std::size_t)>& commit,
                    obs::Registry* registry, const RetryOptions& retry) {
   pool.set_registry(registry);
-
-  obs::Counter tasks_executed;
-  obs::Counter retries;
-  obs::Counter permanent_failures;
-  if (registry) {
-    tasks_executed = registry->counter("sched.tasks_executed");
-    retries = registry->counter("fault.retries");
-    permanent_failures = registry->counter("fault.permanent_failures");
-  }
-  // Commit accounting happens *after* the body returns, so a throwing
-  // attempt is never counted: one increment == one successful task.
-  const auto run = [&](std::size_t i, std::size_t tid) {
-    body(i, tid);
-    tasks_executed.add(tid);
-  };
-
-  FailureLog failure_log;
-
-  switch (schedule) {
-    case HfxSchedule::kDynamicBag:
-    case HfxSchedule::kStaticBlock:
-    case HfxSchedule::kStaticCyclic: {
-      // parallel_for policies retry in place: the iteration owns its
-      // index, so the failed task cannot migrate anyway.
-      const auto with_retry = [&](std::size_t i, std::size_t tid) {
-        for (std::size_t attempt = 1;; ++attempt) {
-          try {
-            run(i, tid);
-            return;
-          } catch (const std::exception& e) {
-            if (attempt > retry.max_retries) {
-              permanent_failures.add(tid);
-              failure_log.add(i, attempt, e.what());
-              return;
-            }
-          } catch (...) {
-            if (attempt > retry.max_retries) {
-              permanent_failures.add(tid);
-              failure_log.add(i, attempt, "unknown error");
-              return;
-            }
-          }
-          retries.add(tid);
-          backoff_sleep(retry.backoff_seconds, attempt);
-        }
-      };
-      const parallel::Schedule policy =
-          schedule == HfxSchedule::kDynamicBag
-              ? parallel::Schedule::kDynamic
-              : (schedule == HfxSchedule::kStaticBlock
-                     ? parallel::Schedule::kStatic
-                     : parallel::Schedule::kStaticCyclic);
-      pool.parallel_for(0, num_tasks, with_retry, policy);
-      break;
-    }
-    case HfxSchedule::kWorkStealing: {
-      parallel::WorkStealingScheduler ws(pool.num_threads());
-      ws.seed(num_tasks);
-      // Shared per-task attempt counts: a re-queued task may be stolen
-      // and retried by a different thread than the one it failed on.
-      auto attempts = std::make_unique<std::atomic<std::uint32_t>[]>(
-          num_tasks);
-      pool.parallel_region([&](std::size_t tid) {
-        while (auto task = ws.next(tid)) {
-          const std::size_t i = static_cast<std::size_t>(*task);
-          std::string error;
-          try {
-            run(i, tid);
-            continue;
-          } catch (const std::exception& e) {
-            error = e.what();
-          } catch (...) {
-            error = "unknown error";
-          }
-          const std::size_t attempt =
-              attempts[i].fetch_add(1, std::memory_order_relaxed) + 1;
-          if (attempt > retry.max_retries) {
-            permanent_failures.add(tid);
-            failure_log.add(i, attempt, std::move(error));
-          } else {
-            retries.add(tid);
-            backoff_sleep(retry.backoff_seconds, attempt);
-            ws.requeue(tid, *task);
-          }
-        }
-      });
-      if (registry) ws.record(*registry);
-      break;
-    }
-  }
-
-  if (!failure_log.failures.empty())
-    throw TaskFailure(std::move(failure_log.failures));
+  TaskRunner runner(body, registry, retry);
+  dispatch(
+      pool, plan.size(), schedule,
+      [&](std::size_t slot, std::size_t tid) {
+        for (std::size_t i = plan.begin(slot); i < plan.end(slot); ++i)
+          runner.run(i, tid);
+        commit(slot, tid);
+      },
+      registry);
+  runner.throw_if_failed();
 }
 
 }  // namespace mthfx::hfx

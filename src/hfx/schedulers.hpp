@@ -15,6 +15,7 @@
 
 namespace mthfx::parallel {
 class ThreadPool;
+struct SlotPlan;
 }
 
 namespace mthfx::hfx {
@@ -52,24 +53,26 @@ struct TaskFailure : std::runtime_error {
 /// occupancy timers, "fault.retries" / "fault.permanent_failures" on the
 /// failure path, and (for work stealing) the ws.* steal counters; the
 /// registry must have slots for resolve_thread_count(num_threads)
-/// threads. A throwing task is retried per `retry`; under kWorkStealing
-/// the failed task is re-queued through the scheduler, under the
-/// parallel_for policies it is retried in place. Exhausted budgets
-/// surface as TaskFailure.
+/// threads. A throwing task is retried in place, on the thread that ran
+/// it, per `retry`. Exhausted budgets surface as TaskFailure.
 void execute_tasks(std::size_t num_tasks, std::size_t num_threads,
                    HfxSchedule schedule,
                    const std::function<void(std::size_t, std::size_t)>& body,
                    obs::Registry* registry = nullptr,
                    const RetryOptions& retry = {});
 
-/// Same contract, but runs on a caller-owned pool instead of spawning a
-/// fresh one — callers with more parallel phases than the task loop (the
-/// Fock builder also tree-reduces the accumulators) pay the thread spawn
-/// once per build instead of once per phase. The pool's registry
-/// attachment is replaced by `registry` for the duration of the call.
-void execute_tasks(parallel::ThreadPool& pool, std::size_t num_tasks,
+/// Slot-granular execute_tasks for deterministic accumulation
+/// (parallel/slots.hpp), on a caller-owned pool whose registry
+/// attachment is replaced by `registry` for the call: the policy hands
+/// out whole slots of `plan`, not tasks. A slot runs body(task, thread_id) for its tasks in index order
+/// — each retried in place per `retry`, with execute_tasks' per-task
+/// accounting — then commit(slot, thread_id). One thread runs a slot from
+/// its first task to its commit, so the body may keep the slot's buffer
+/// per thread.
+void execute_slots(parallel::ThreadPool& pool, const parallel::SlotPlan& plan,
                    HfxSchedule schedule,
                    const std::function<void(std::size_t, std::size_t)>& body,
+                   const std::function<void(std::size_t, std::size_t)>& commit,
                    obs::Registry* registry = nullptr,
                    const RetryOptions& retry = {});
 

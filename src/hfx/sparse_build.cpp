@@ -4,9 +4,8 @@
 #include <vector>
 
 #include "hfx/fock_builder.hpp"
-#include "hfx/quartet_digest.hpp"
+#include "hfx/schedulers.hpp"
 #include "hfx/screening.hpp"
-#include "ints/eri_batch.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -28,9 +27,11 @@
 // letting the walk break at the first failure. The union of link walks is
 // therefore a superset of the dense survivor set; every candidate is then
 // re-checked with exactly the dense tests in the dense ket order, so the
-// computed quartet set — and K and J — match the dense build bitwise
-// (single-threaded; the dense path also digests bras and kets in
-// ascending order).
+// computed quartet set matches the dense build's. Rows run on any number
+// of threads through the dense build's slot scheme (run_slots); at the
+// default one-task-per-row granularity both builds cut the same slots and
+// digest the same rows in the same order, so K and J match the dense
+// build bit for bit at every thread count.
 
 namespace mthfx::hfx {
 
@@ -42,13 +43,12 @@ JkResult FockBuilder::build_blocked(const BlockSparseMatrix& density_blk,
                                     bool want_coulomb) const {
   obs::Trace::Scope build_span(obs::global_trace(), "jk.build_blocked");
   const Matrix density = density_blk.to_dense();
-  const std::size_t nao = basis_->num_functions();
   const std::size_t ns = basis_->num_shells();
   const std::size_t np = pairs_.size();
   const double eps = options_.eps_schwarz;
-  const double eps_contribution = options_.contribution_cutoff();
 
-  obs::Registry registry(1);
+  const std::size_t nthreads = resolve_thread_count(options_.num_threads);
+  obs::Registry registry(nthreads);
   const obs::Timer busy_timer = registry.timer("hfx.task_seconds");
   const obs::Counter c_considered = registry.counter("hfx.quartets_considered");
   const obs::Counter c_schwarz =
@@ -61,15 +61,8 @@ JkResult FockBuilder::build_blocked(const BlockSparseMatrix& density_blk,
   result.stats.num_pairs = np;
   result.stats.num_pairs_unscreened = pairs_.unscreened_count();
   result.stats.num_tasks = np;  // one enumeration row per bra
-  result.k = Matrix(nao, nao);
-  if (want_coulomb) result.j = Matrix(nao, nao);
   if (options_.record_task_costs)
     result.stats.task_costs.assign(np, TaskCostRecord{});
-  if (np == 0) {
-    result.stats.thread_busy_seconds = {0.0};
-    result.stats.metrics = registry.to_json();
-    return result;
-  }
 
   const bool density_screening = options_.density_screening;
   const Matrix block_max =
@@ -141,37 +134,41 @@ JkResult FockBuilder::build_blocked(const BlockSparseMatrix& density_blk,
     return lo;
   };
 
-  // Stamp-dedupe across the link walks of one bra row.
-  std::vector<std::uint32_t> stamp(np, 0);
-  std::uint32_t epoch = 0;
-  std::vector<std::uint32_t> cand;
-  std::vector<ints::QuartetRef> stream;
-  std::vector<ints::EriBlock> blocks;
-  std::vector<std::uint32_t> survivors;
+  // Per-thread row scratch, sized on first use by the thread that owns
+  // it. The stamp array dedupes candidates across the link walks of one
+  // bra row.
+  struct RowScratch {
+    std::vector<std::uint32_t> stamp;
+    std::uint32_t epoch = 0;
+    std::vector<std::uint32_t> cand;
+    std::vector<std::uint32_t> survivors;
+  };
+  std::vector<RowScratch> scratch(nthreads);
 
-  {
-  obs::ScopedTimer wall(registry.timer("hfx.wall_seconds"), 0);
-  for (std::size_t b = 0; b < np; ++b) {
+  const auto run_row = [&](std::size_t b, std::size_t tid, double* k,
+                           double* j) {
     const obs::Stopwatch watch;
+    RowScratch& rs = scratch[tid];
+    if (rs.stamp.empty()) rs.stamp.assign(np, 0);
     const ShellPair& bra = pairs_[b];
     const double qb = bra.q;
     const std::size_t live = live_end(b);
     std::uint64_t considered = b + 1;
     std::uint64_t schwarz = (b + 1) - live;
 
-    cand.clear();
-    ++epoch;
+    rs.cand.clear();
+    const std::uint32_t epoch = ++rs.epoch;
     const auto push = [&](std::uint32_t idx) {
       if (idx > b) return;
-      if (stamp[idx] == epoch) return;
-      stamp[idx] = epoch;
-      cand.push_back(idx);
+      if (rs.stamp[idx] == epoch) return;
+      rs.stamp[idx] = epoch;
+      rs.cand.push_back(idx);
     };
 
     if (!density_screening) {
       // No density screen: the survivor set is exactly the live prefix.
-      for (std::size_t k = 0; k < live; ++k)
-        push(static_cast<std::uint32_t>(k));
+      for (std::size_t kk = 0; kk < live; ++kk)
+        push(static_cast<std::uint32_t>(kk));
     } else {
       // Exchange links: e in the bra, f a density partner of e, kets
       // containing f in descending q. Monotone breaks use upper bounds
@@ -209,12 +206,11 @@ JkResult FockBuilder::build_blocked(const BlockSparseMatrix& density_blk,
     }
 
     // Re-check candidates with the dense tests, in the dense (ascending
-    // ket index) order; survivors stream through the batched kernel and
-    // are digested in that same order.
-    std::sort(cand.begin(), cand.end());
-    survivors.clear();
-    std::uint64_t computed = 0;
-    for (const std::uint32_t kk : cand) {
+    // ket index) order; survivors are evaluated and digested in that
+    // same order.
+    std::sort(rs.cand.begin(), rs.cand.end());
+    rs.survivors.clear();
+    for (const std::uint32_t kk : rs.cand) {
       const ShellPair& ket = pairs_[kk];
       const double qq = qb * ket.q;
       if (qq < eps) continue;  // already bulk-counted as Schwarz-screened
@@ -229,73 +225,33 @@ JkResult FockBuilder::build_blocked(const BlockSparseMatrix& density_blk,
                                          ket.sb);
         if (qq * pmax < eps) continue;
       }
-      ++computed;
-      survivors.push_back(kk);
+      rs.survivors.push_back(kk);
     }
+    const std::uint64_t computed = rs.survivors.size();
     // Live kets that are not computed failed the density test — whether
     // we visited them or proved it via the link floors.
     const std::uint64_t density_scr = live - computed;
-
-    if (!survivors.empty()) {
-      Matrix* j_acc = want_coulomb ? &result.j : nullptr;
-      if (options_.eri_kernel == ints::EriKernel::kBatched) {
-        stream.clear();
-        stream.reserve(survivors.size());
-        for (const std::uint32_t kk : survivors)
-          stream.push_back({&pair_hermites_[b], &pair_hermites_[kk]});
-        if (blocks.size() < survivors.size()) blocks.resize(survivors.size());
-        ints::eri_shell_quartet_batched({stream.data(), stream.size()},
-                                        blocks.data());
-        for (std::size_t i = 0; i < survivors.size(); ++i) {
-          const ShellPair& ket = pairs_[survivors[i]];
-          detail::digest_quartet(*basis_, bra.sa, bra.sb, ket.sa, ket.sb,
-                                 blocks[i], density, j_acc, result.k,
-                                 /*braket_same=*/survivors[i] == b,
-                                 eps_contribution);
-        }
-      } else {
-        ints::EriBlock block;
-        for (const std::uint32_t kk : survivors) {
-          const ShellPair& ket = pairs_[kk];
-          if (options_.eri_kernel == ints::EriKernel::kDenseReference)
-            ints::eri_shell_quartet_dense_reference(pair_hermites_[b],
-                                                    pair_hermites_[kk], block);
-          else
-            ints::eri_shell_quartet(pair_hermites_[b], pair_hermites_[kk],
-                                    block);
-          detail::digest_quartet(*basis_, bra.sa, bra.sb, ket.sa, ket.sb,
-                                 block, density, j_acc, result.k,
-                                 /*braket_same=*/kk == b, eps_contribution);
-        }
-      }
-    }
+    digest_row(static_cast<std::uint32_t>(b), rs.survivors, density, k, j);
 
     const double secs = watch.seconds();
-    busy_timer.add_seconds(0, secs);
-    c_considered.add(0, considered);
-    c_schwarz.add(0, schwarz);
-    c_density.add(0, density_scr);
-    c_computed.add(0, computed);
+    busy_timer.add_seconds(tid, secs);
+    c_considered.add(tid, considered);
+    c_schwarz.add(tid, schwarz);
+    c_density.add(tid, density_scr);
+    c_computed.add(tid, computed);
     if (options_.record_task_costs)
       result.stats.task_costs[b] = {static_cast<std::uint32_t>(b),
                                     static_cast<double>(computed), secs};
-  }
-  }  // wall timer scope
+  };
 
-  linalg::symmetrize(result.k);
-  if (want_coulomb) linalg::symmetrize(result.j);
+  // Rows are cut into slots by the dense cost model, summed per bra row:
+  // at the default one-task-per-row granularity the dense and blocked
+  // builds cut identical slots and so agree bit for bit.
+  std::vector<double> row_costs(np, 0.0);
+  for (const QuartetTask& task : tasks_) row_costs[task.bra] += task.est_cost;
+  run_slots(row_costs, want_coulomb, run_row, registry, result);
 
-  result.stats.screening.quartets_considered =
-      registry.counter_total("hfx.quartets_considered");
-  result.stats.screening.quartets_schwarz_screened =
-      registry.counter_total("hfx.quartets_schwarz_screened");
-  result.stats.screening.quartets_density_screened =
-      registry.counter_total("hfx.quartets_density_screened");
-  result.stats.screening.quartets_computed =
-      registry.counter_total("hfx.quartets_computed");
-  result.stats.wall_seconds = registry.timer_seconds("hfx.wall_seconds");
-  result.stats.thread_busy_seconds =
-      registry.timer_per_thread("hfx.task_seconds");
+  fill_stats(registry, result.stats);
   result.stats.metrics = registry.to_json();
   return result;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 
 namespace mthfx::hfx {
 
@@ -123,12 +124,10 @@ std::vector<QuartetTask> make_tasks(const chem::BasisSet& basis,
     return weight[b] * s;
   };
 
-  if (target_cost <= 0.0) {
-    double total = 0.0;
-    for (std::size_t b = 0; b < np; ++b)
-      total += range_cost(b, 0, screened_begin(b));
-    target_cost = total / (64.0 * static_cast<double>(np));
-  }
+  // The default is one task per bra row: the batched kernel groups a
+  // task's quartets by class into 8-wide lanes, and only a whole row's
+  // stream keeps those lanes full.
+  if (target_cost <= 0.0) target_cost = std::numeric_limits<double>::infinity();
 
   for (std::size_t b = 0; b < np; ++b) {
     const std::size_t live = screened_begin(b);

@@ -4,10 +4,11 @@
 //
 // A task is one bra shell-pair combined with a contiguous range of ket
 // shell-pairs (ket list position <= bra list position, which realizes the
-// 8-fold permutational symmetry at pair level). Heavy bra rows are split
-// into multiple tasks so the cost distribution is even enough for the
-// dynamic scheduler; the per-task cost estimate drives both the host
-// execution order and the BG/Q machine simulator.
+// 8-fold permutational symmetry at pair level). By default a task is a
+// whole bra row; an explicit target cost splits heavy rows into several
+// tasks (the BG/Q calibration and the granularity ablation). The per-task
+// cost estimate drives the host's slot cut (parallel/slots.hpp) and the
+// BG/Q machine simulator.
 
 #include <cstdint>
 #include <vector>
@@ -30,7 +31,8 @@ double estimate_quartet_cost(const chem::BasisSet& basis, const ShellPair& bra,
                              const ShellPair& ket);
 
 /// Build the task list. `target_cost` bounds the estimated cost per task;
-/// 0 selects a heuristic (total cost / (64 * pairs)). With a positive
+/// 0 (the default) makes one task per bra row, the whole-row quartet
+/// stream the batched kernel needs to fill its lanes. With a positive
 /// `eps_schwarz`, quartets the builder will Schwarz-screen
 /// (bra.q * ket.q < eps) are costed at zero — they are a `break` in the
 /// kernel loop, not work — so chunk boundaries track the work that

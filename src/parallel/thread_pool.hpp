@@ -21,7 +21,7 @@ namespace mthfx::parallel {
 
 /// The one thread-count policy for the whole stack: 0 requests hardware
 /// concurrency (never less than 1). ThreadPool and the HFX layer both
-/// resolve through this, so per-thread buffers (k_private,
+/// resolve through this, so per-thread buffers (open slot buffers,
 /// thread_busy_seconds, registry slots) can never be sized against a
 /// different count than the pool actually runs.
 std::size_t resolve_thread_count(std::size_t requested);

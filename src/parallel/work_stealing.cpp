@@ -84,15 +84,6 @@ std::optional<std::uint64_t> WorkStealingScheduler::next(
   return std::nullopt;
 }
 
-void WorkStealingScheduler::requeue(std::size_t thread_id,
-                                    std::uint64_t task) {
-  // Back onto the failing thread's own deque: the thread is still inside
-  // its drain loop, so the task is guaranteed to be picked up again (by
-  // the owner's pop or by a late thief) — never lost to the termination
-  // sweep.
-  deques_[thread_id].push(task);
-}
-
 StealStats WorkStealingScheduler::stats() const {
   StealStats total;
   for (const auto& s : per_thread_stats_) {

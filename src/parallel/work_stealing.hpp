@@ -55,11 +55,6 @@ class WorkStealingScheduler {
   /// Returns nullopt when all deques are empty.
   std::optional<std::uint64_t> next(std::size_t thread_id);
 
-  /// Failure path: put a task back on `thread_id`'s own deque so it is
-  /// retried (possibly by a thief). Safe to call concurrently from
-  /// inside a parallel region.
-  void requeue(std::size_t thread_id, std::uint64_t task);
-
   StealStats stats() const;
 
   /// One thread's counters (valid after that thread has quiesced).

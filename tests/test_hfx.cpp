@@ -103,6 +103,27 @@ TEST(Tasks, CoverEveryKetRangeExactlyOnce) {
     for (bool c : row) EXPECT_TRUE(c);
 }
 
+TEST(Tasks, DefaultIsOneTaskPerBraRow) {
+  // The batched kernel fills its 8-wide lanes from a task's quartet
+  // stream, so the default task is a whole bra row: [0, bra + 1).
+  const auto m = water();
+  const auto basis = chem::BasisSet::build(m, "6-31g");
+  const auto q = ints::schwarz_bounds(basis);
+  hfx::ShellPairList pairs(basis, q, 1e-10);
+  for (const double eps : {0.0, 1e-10}) {
+    const auto tasks = hfx::make_tasks(basis, pairs, 0.0, eps,
+                                       ints::EriKernel::kBatched);
+    ASSERT_EQ(tasks.size(), pairs.size());
+    for (std::size_t b = 0; b < tasks.size(); ++b) {
+      EXPECT_EQ(tasks[b].bra, b);
+      EXPECT_EQ(tasks[b].ket_begin, 0u);
+      EXPECT_EQ(tasks[b].ket_end, b + 1);
+    }
+  }
+  EXPECT_EQ(hfx::FockBuilder(basis).tasks().size(),
+            hfx::FockBuilder(basis).pairs().size());
+}
+
 TEST(Tasks, GranularityRespondsToTargetCost) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "6-31g");

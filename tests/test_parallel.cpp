@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <set>
@@ -8,6 +9,7 @@
 
 #include "obs/registry.hpp"
 #include "parallel/reduce.hpp"
+#include "parallel/slots.hpp"
 #include "parallel/team.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing.hpp"
@@ -394,4 +396,153 @@ TEST(TreeReduce, LengthShorterThanBlockCount) {
   for (auto& p : parts) ptrs.push_back(p.data());
   par::tree_reduce(pool, ptrs, 3);
   EXPECT_EQ(parts.front(), expected);
+}
+
+// ---------------------------------------------------------------------------
+// Deterministic slot accumulation (parallel/slots.hpp).
+
+namespace {
+
+std::vector<double> varied_costs(std::size_t n, unsigned seed) {
+  std::vector<double> costs(n);
+  std::uint32_t state = seed * 2654435761u + 1u;
+  for (double& c : costs) {
+    state = state * 1664525u + 1013904223u;
+    c = 1.0 + static_cast<double>(state >> 20);  // 1 .. 4097
+  }
+  return costs;
+}
+
+/// Non-representable per-task contribution to element e of the buffer.
+double contribution(std::size_t task, std::size_t e) {
+  return 0.1 * static_cast<double>(task + 1) / 3.0 +
+         1e-3 * static_cast<double>(e) / 7.0;
+}
+
+/// Runs the slot scheme on a pool: each slot sums its tasks in index
+/// order into its own buffer, then commits it.
+std::vector<double> slot_sum(par::ThreadPool& pool, const par::SlotPlan& plan,
+                             std::size_t len, par::Schedule schedule,
+                             std::size_t* peak = nullptr) {
+  par::SlotReducer reducer(plan.size(), len);
+  pool.parallel_for(
+      0, plan.size(),
+      [&](std::size_t slot, std::size_t) {
+        auto buffer = reducer.acquire();
+        for (std::size_t t = plan.begin(slot); t < plan.end(slot); ++t)
+          for (std::size_t e = 0; e < len; ++e)
+            buffer[e] += contribution(t, e);
+        reducer.commit(slot, std::move(buffer));
+      },
+      schedule);
+  if (peak) *peak = reducer.peak_buffers();
+  const auto total = reducer.total();
+  return {total.begin(), total.end()};
+}
+
+}  // namespace
+
+TEST(SlotPlan, CoversTasksContiguouslyExactlyOnce) {
+  for (std::size_t n : {1u, 2u, 7u, 63u, 64u, 65u, 1000u}) {
+    const auto costs = varied_costs(n, static_cast<unsigned>(n));
+    const par::SlotPlan plan = par::plan_slots(costs, 1);
+    ASSERT_GE(plan.size(), 1u);
+    EXPECT_EQ(plan.begin(0), 0u);
+    EXPECT_EQ(plan.end(plan.size() - 1), n);
+    for (std::size_t s = 0; s < plan.size(); ++s)
+      EXPECT_LT(plan.begin(s), plan.end(s)) << "empty slot " << s;
+  }
+  EXPECT_EQ(par::plan_slots({}, 10).size(), 0u);
+}
+
+TEST(SlotPlan, CountDependsOnCostsAndBufferLengthOnly) {
+  const auto costs = varied_costs(1000, 3);
+  double total = 0.0;
+  for (double c : costs) total += c;
+  // Cheap buffers: the count saturates at kMaxSlots (or the task count).
+  EXPECT_EQ(par::plan_slots(costs, 1).size(), par::kMaxSlots);
+  EXPECT_EQ(par::plan_slots(std::span(costs).first(10), 1).size(), 10u);
+  // Expensive buffers: a slot must carry one cost unit per element.
+  const auto len = static_cast<std::size_t>(total / 5.0);
+  EXPECT_EQ(par::plan_slots(costs, len).size(), 5u);
+  EXPECT_EQ(par::plan_slots(costs, static_cast<std::size_t>(10 * total))
+                .size(),
+            1u);
+  // A pure function: the same inputs cut the same slots.
+  EXPECT_EQ(par::plan_slots(costs, 7).bounds, par::plan_slots(costs, 7).bounds);
+}
+
+TEST(SlotPlan, SlotCostsAreBalanced) {
+  for (unsigned seed : {1u, 2u, 3u}) {
+    const auto costs = varied_costs(700, seed);
+    double total = 0.0, biggest = 0.0;
+    for (double c : costs) {
+      total += c;
+      biggest = std::max(biggest, c);
+    }
+    const par::SlotPlan plan = par::plan_slots(costs, 1);
+    const double fair = total / static_cast<double>(plan.size());
+    for (std::size_t s = 0; s < plan.size(); ++s) {
+      double cost = 0.0;
+      for (std::size_t t = plan.begin(s); t < plan.end(s); ++t)
+        cost += costs[t];
+      EXPECT_LE(cost, fair + biggest) << "slot " << s;
+    }
+  }
+}
+
+TEST(SlotReducer, TotalBitIdenticalAcrossThreadCountsAndSchedules) {
+  const auto costs = varied_costs(300, 11);
+  const par::SlotPlan plan = par::plan_slots(costs, 1);
+  constexpr std::size_t len = 37;
+  par::ThreadPool serial(1);
+  const auto ref = slot_sum(serial, plan, len, par::Schedule::kDynamic);
+  for (std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    par::ThreadPool pool(threads);
+    for (auto schedule : {par::Schedule::kDynamic, par::Schedule::kStatic,
+                          par::Schedule::kStaticCyclic}) {
+      std::size_t peak = 0;
+      EXPECT_EQ(slot_sum(pool, plan, len, schedule, &peak), ref)
+          << "threads " << threads;
+      EXPECT_LE(peak, plan.size());
+    }
+  }
+}
+
+TEST(SlotReducer, CommitOrderIsInvisible) {
+  constexpr std::size_t nslots = 13, len = 5;
+  auto run = [&](const std::vector<std::size_t>& order) {
+    par::SlotReducer reducer(nslots, len);
+    for (std::size_t slot : order) {
+      auto buffer = reducer.acquire();
+      for (std::size_t e = 0; e < len; ++e) buffer[e] = contribution(slot, e);
+      reducer.commit(slot, std::move(buffer));
+    }
+    const auto total = reducer.total();
+    return std::vector<double>(total.begin(), total.end());
+  };
+  std::vector<std::size_t> order(nslots);
+  std::iota(order.begin(), order.end(), 0);
+  const auto forward = run(order);
+  std::reverse(order.begin(), order.end());
+  EXPECT_EQ(run(order), forward);
+  std::swap(order[2], order[9]);
+  std::swap(order[0], order[5]);
+  EXPECT_EQ(run(order), forward);
+}
+
+TEST(SlotReducer, InOrderCommitsKeepLogarithmicBuffers) {
+  // A finished prefix collapses into one parked node per set bit of its
+  // length, so in-order commits hold O(log slots) buffers, not O(slots).
+  par::SlotReducer reducer(64, 8);
+  for (std::size_t slot = 0; slot < 64; ++slot)
+    reducer.commit(slot, reducer.acquire());
+  EXPECT_LE(reducer.peak_buffers(), 7u);
+  for (double v : reducer.total()) EXPECT_EQ(v, 0.0);
+}
+
+TEST(SlotReducer, ZeroSlotsGiveZeros) {
+  par::SlotReducer reducer(0, 4);
+  ASSERT_EQ(reducer.total().size(), 4u);
+  for (double v : reducer.total()) EXPECT_EQ(v, 0.0);
 }
