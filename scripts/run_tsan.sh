@@ -3,12 +3,12 @@
 #
 # Covers the concurrency-sensitive surface: the thread pool, the
 # work-stealing scheduler (both steal paths and their stats counters),
-# the row-blocked tree reduction and the deterministic slot accumulator
-# (TreeReduce.*, SlotPlan.* and SlotReducer.* ride inside the full
-# test_parallel run), the obs registry's lock-free per-thread slots, the
-# HFX scheduler exactness tests, the threaded dense and blocked J/K
-# builds, and the screening engine's job queue + multi-job scheduler. A
-# data race anywhere in that stack fails this script.
+# the deterministic slot accumulator (SlotPlan.*, SlotReducer.* and
+# SumSlots.* ride inside the full test_parallel run), the obs registry's
+# lock-free per-thread slots, the HFX scheduler exactness tests, the
+# threaded dense and blocked J/K builds, the threaded XC integrator, and
+# the screening engine's job queue + multi-job scheduler. A data race
+# anywhere in that stack fails this script.
 #
 # Usage: scripts/run_tsan.sh [build-dir]   (default: build-tsan)
 
@@ -31,9 +31,11 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # numerics (slow under TSan and thread-free anyway).
 "$BUILD_DIR"/tests/test_hfx --gtest_filter='SchedulerExactness*:Schedulers.*:AllSchedules/*'
 # Threaded J/K builds, dense and blocked, at 1-8 threads under every
-# schedule: slot claims, per-thread row scratch and the slot tree combine.
+# schedule, and the threaded XC integrator (point batches, per-thread
+# panel scratch, the threaded AO-table build): slot claims and the slot
+# tree combine.
 "$BUILD_DIR"/tests/test_determinism \
-  --gtest_filter='HfxDeterminism.DenseJk*:HfxDeterminism.BlockedJk*'
+  --gtest_filter='HfxDeterminism.DenseJk*:HfxDeterminism.BlockedJk*:XcDeterminism.*'
 # Retry/exactly-once-commit paths of the fault suite: concurrent task
 # failure, requeue, and attempt accounting across every schedule.
 "$BUILD_DIR"/tests/test_fault --gtest_filter='AllSchedules/*:Schedulers.*'

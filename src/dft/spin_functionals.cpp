@@ -58,7 +58,9 @@ double pw92_correlation_energy_density_spin(const SpinDensity& d) {
   const double rho = d.rho();
   if (rho <= 0.0) return 0.0;
   const double rs = std::cbrt(3.0 / (4.0 * kPi * rho));
-  return rho * pw92_eps_c_spin(rs, d.zeta());
+  // A central-difference step can push one spin density below zero
+  // (|zeta| > 1), where f(zeta) would take a power of a negative number.
+  return rho * pw92_eps_c_spin(rs, std::clamp(d.zeta(), -1.0, 1.0));
 }
 
 double pbe_exchange_energy_density_spin(const SpinDensity& d) {

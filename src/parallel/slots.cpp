@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "parallel/thread_pool.hpp"
+
 namespace mthfx::parallel {
 
 SlotPlan plan_slots(std::span<const double> costs, std::size_t buffer_len) {
@@ -81,6 +83,21 @@ void SlotReducer::commit(std::size_t slot, Buffer partial) {
     free_.push_back(std::move(other));
   }
   root_ = std::move(partial);
+}
+
+std::vector<double> sum_slots(
+    std::size_t num_slots, std::size_t buffer_len, std::size_t num_threads,
+    const std::function<void(std::size_t, double*, std::size_t)>& body) {
+  SlotReducer reducer(num_slots, buffer_len);
+  ThreadPool pool(std::min(resolve_thread_count(num_threads),
+                           std::max<std::size_t>(num_slots, 1)));
+  pool.parallel_for(0, num_slots, [&](std::size_t slot, std::size_t tid) {
+    SlotReducer::Buffer partial = reducer.acquire();
+    body(slot, partial.get(), tid);
+    reducer.commit(slot, std::move(partial));
+  });
+  const std::span<const double> total = reducer.total();
+  return {total.begin(), total.end()};
 }
 
 }  // namespace mthfx::parallel

@@ -1,8 +1,9 @@
 #pragma once
 
 // Deterministic slot accumulation — the one scheme by which threaded
-// builds (HFX J/K, the two-electron gradient) sum per-task contributions
-// into a shared result bit-identically for any thread count and schedule.
+// builds (HFX J/K, the two-electron gradient, XC integration and the XC
+// gradient) sum per-task contributions into a shared result
+// bit-identically for any thread count and schedule.
 //
 // A task list is cut into contiguous, cost-balanced *slots*. The cut
 // depends only on the task costs and the accumulator length — never on
@@ -19,6 +20,7 @@
 // and finished subtrees still waiting for a sibling hold a buffer.
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -81,5 +83,16 @@ class SlotReducer {
   std::size_t allocated_ = 0;
   Buffer root_;
 };
+
+/// The whole scheme on a private pool of `num_threads` threads (0 ->
+/// hardware concurrency): body(slot, partial, thread_id) adds slot
+/// `slot`'s tasks, in index order, into its zeroed `partial` of
+/// `buffer_len` doubles, and the returned vector is the fixed-tree total
+/// of every slot. thread_id < resolve_thread_count(num_threads) names the
+/// thread running the slot, for per-thread scratch. The total does not
+/// depend on num_threads.
+std::vector<double> sum_slots(
+    std::size_t num_slots, std::size_t buffer_len, std::size_t num_threads,
+    const std::function<void(std::size_t, double*, std::size_t)>& body);
 
 }  // namespace mthfx::parallel

@@ -135,8 +135,8 @@ std::vector<Vec3> ks_gradient(const chem::Molecule& mol,
 
   if (semilocal) {
     const dft::MolecularGrid grid(mol, options.grid);
-    const dft::XcIntegrator xc(basis, grid);
-    const std::vector<Vec3> gxc = xc.gradient(functional, p, mol);
+    const std::vector<Vec3> gxc = dft::xc_gradient(
+        basis, grid, functional, p, mol, options.scf.hfx.num_threads);
     for (std::size_t a = 0; a < grad.size(); ++a) grad[a] = grad[a] + gxc[a];
   }
   return grad;

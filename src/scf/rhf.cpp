@@ -28,6 +28,7 @@ obs::Json scf_log_to_json(const std::vector<ScfIterationLog>& log) {
     row["quartets_computed"] = e.quartets_computed;
     row["seconds"] = e.seconds;
     row["jk_seconds"] = e.jk_seconds;
+    row["xc_seconds"] = e.xc_seconds;
     row["recovery_stage"] =
         to_string(static_cast<RecoveryStage>(e.recovery_stage));
     rows.push_back(std::move(row));

@@ -67,6 +67,7 @@ struct ScfIterationLog {
   std::uint64_t quartets_computed = 0;
   double seconds = 0.0;     ///< iteration wall time (build through DIIS)
   double jk_seconds = 0.0;  ///< J/K build wall time within the iteration
+  double xc_seconds = 0.0;  ///< XC integration wall time (rks, uks)
   /// Recovery ladder stage active during this iteration
   /// (static_cast of scf::RecoveryStage).
   std::uint32_t recovery_stage = 0;

@@ -52,7 +52,8 @@ KsResult rks(const chem::Molecule& mol, const chem::BasisSet& basis,
     // the culled pair list: on for systems routed to the blocked path.
     xc = std::make_unique<dft::XcIntegrator>(
         basis, *grid,
-        options.scf.hfx.sparsity.blocked(basis.num_functions()));
+        options.scf.hfx.sparsity.blocked(basis.num_functions()),
+        options.scf.hfx.num_threads);
   }
 
   Matrix p = initial_scf_density(basis, mol, x, options.scf, "rks");
@@ -88,7 +89,9 @@ KsResult rks(const chem::Molecule& mol, const chem::BasisSet& basis,
     const auto jk = builder.coulomb_exchange(p);
 
     dft::XcResult xres;
+    const obs::Stopwatch xc_watch;
     if (semilocal) xres = xc->integrate(functional, p);
+    const double xc_seconds = xc_watch.seconds();
 
     Matrix f = h + jk.j;
     if (ax != 0.0) f -= (0.5 * ax) * jk.k;
@@ -117,6 +120,7 @@ KsResult rks(const chem::Molecule& mol, const chem::BasisSet& basis,
     log_entry.diis_error = diis_err_norm;
     log_entry.quartets_computed = jk.stats.screening.quartets_computed;
     log_entry.jk_seconds = jk.stats.wall_seconds;
+    log_entry.xc_seconds = xc_seconds;
     log_entry.seconds = iter_watch.seconds();
     log_entry.recovery_stage = static_cast<std::uint32_t>(ladder.stage());
     result.scf.log.push_back(log_entry);

@@ -75,7 +75,8 @@ UksResult uks(const chem::Molecule& mol, const chem::BasisSet& basis,
     // the culled pair list: on for systems routed to the blocked path.
     xc = std::make_unique<dft::XcIntegrator>(
         basis, *grid,
-        options.scf.hfx.sparsity.blocked(basis.num_functions()));
+        options.scf.hfx.sparsity.blocked(basis.num_functions()),
+        options.scf.hfx.num_threads);
   }
 
   SpinState a = solve_channel(h, x, na);
@@ -115,7 +116,9 @@ UksResult uks(const chem::Molecule& mol, const chem::BasisSet& basis,
     const Matrix j_total = jk_a.j + jk_b.j;
 
     dft::XcSpinResult xres;
+    const obs::Stopwatch xc_watch;
     if (semilocal) xres = xc->integrate_spin(functional, a.p, b.p);
+    const double xc_seconds = xc_watch.seconds();
 
     Matrix fa = h + j_total;
     Matrix fb = h + j_total;
@@ -165,6 +168,7 @@ UksResult uks(const chem::Molecule& mol, const chem::BasisSet& basis,
                                   jk_b.stats.screening.quartets_computed;
     log_entry.jk_seconds =
         jk_a.stats.wall_seconds + jk_b.stats.wall_seconds;
+    log_entry.xc_seconds = xc_seconds;
     log_entry.seconds = iter_watch.seconds();
     log_entry.recovery_stage = static_cast<std::uint32_t>(ladder.stage());
     result.scf.log.push_back(log_entry);

@@ -1,6 +1,8 @@
 #include "testing/oracles.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <stdexcept>
 
 #include "ints/eri.hpp"
@@ -129,5 +131,190 @@ double exchange_energy_from_tensor(const BasisSet& basis,
                tensor[((mu * n + lam) * n + nu) * n + sig];
   return 0.5 * e;
 }
+
+dft::XcResult reference_xc(const dft::XcIntegrator& xc,
+                           const dft::Functional& functional,
+                           const Matrix& density) {
+  const dft::MolecularGrid& grid = xc.grid();
+  const auto& row_off = xc.ao_table().row_off;
+  const auto& cols = xc.ao_table().cols;
+  const auto& ao = xc.ao_table().ao;
+  const auto& ax = xc.ao_table().ax;
+  const auto& ay = xc.ao_table().ay;
+  const auto& az = xc.ao_table().az;
+  const std::size_t nao = xc.basis().num_functions();
+  dft::XcResult result;
+  result.v = Matrix(nao, nao);
+
+  std::vector<double> pphi(nao);  // (P phi) at the current point
+
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    const double w = grid.points()[g].weight;
+    const std::size_t nloc = row_off[g + 1] - row_off[g];
+    const double* phi = ao.data() + row_off[g];
+    const double* gx = ax.data() + row_off[g];
+    const double* gy = ay.data() + row_off[g];
+    const double* gz = az.data() + row_off[g];
+    const std::uint32_t* idx = cols.data() + row_off[g];
+
+    double rho = 0.0;
+    for (std::size_t mu = 0; mu < nloc; ++mu) {
+      double t = 0.0;
+      for (std::size_t nu = 0; nu < nloc; ++nu)
+        t += density(idx[mu], idx[nu]) * phi[nu];
+      pphi[mu] = t;
+      rho += t * phi[mu];
+    }
+    if (rho < 1e-12) continue;
+    result.integrated_density += w * rho;
+
+    // grad rho = 2 (P phi) . grad phi.
+    double drx = 0.0, dry = 0.0, drz = 0.0;
+    if (functional.needs_gradient) {
+      for (std::size_t mu = 0; mu < nloc; ++mu) {
+        drx += 2.0 * pphi[mu] * gx[mu];
+        dry += 2.0 * pphi[mu] * gy[mu];
+        drz += 2.0 * pphi[mu] * gz[mu];
+      }
+    }
+    const double sigma = drx * drx + dry * dry + drz * drz;
+
+    const double e = functional.energy_density(rho, sigma);
+    result.energy += w * e;
+
+    // Central-difference potentials.
+    const double hr = std::max(1e-9, 1e-6 * rho);
+    const double vrho = (functional.energy_density(rho + hr, sigma) -
+                         functional.energy_density(rho - hr, sigma)) /
+                        (2.0 * hr);
+    double vsigma = 0.0;
+    if (functional.needs_gradient && sigma > 1e-24) {
+      const double hs = std::max(1e-12, 1e-6 * sigma);
+      vsigma = (functional.energy_density(rho, sigma + hs) -
+                functional.energy_density(rho, sigma - hs)) /
+               (2.0 * hs);
+    }
+
+    // Symmetric rank-2 update: V += t phi^T + phi t^T with
+    // t = (w vrho / 2) phi + (2 w vsigma) (grad rho . grad phi).
+    for (std::size_t mu = 0; mu < nloc; ++mu) {
+      const double d = drx * gx[mu] + dry * gy[mu] + drz * gz[mu];
+      const double t = 0.5 * w * vrho * phi[mu] + 2.0 * w * vsigma * d;
+      if (t == 0.0) continue;
+      for (std::size_t nu = 0; nu < nloc; ++nu) {
+        result.v(idx[mu], idx[nu]) += t * phi[nu];
+        result.v(idx[nu], idx[mu]) += t * phi[nu];
+      }
+    }
+  }
+  return result;
+}
+
+dft::XcSpinResult reference_xc_spin(const dft::XcIntegrator& xc,
+                                   const dft::SpinFunctional& functional,
+                                   const Matrix& density_alpha,
+                                   const Matrix& density_beta) {
+  using dft::SpinDensity;
+  const dft::MolecularGrid& grid = xc.grid();
+  const auto& row_off = xc.ao_table().row_off;
+  const auto& cols = xc.ao_table().cols;
+  const auto& ao = xc.ao_table().ao;
+  const auto& ax = xc.ao_table().ax;
+  const auto& ay = xc.ao_table().ay;
+  const auto& az = xc.ao_table().az;
+  const std::size_t nao = xc.basis().num_functions();
+  dft::XcSpinResult result;
+  result.v_alpha = Matrix(nao, nao);
+  result.v_beta = Matrix(nao, nao);
+
+  std::vector<double> pa_phi(nao), pb_phi(nao);
+
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    const double w = grid.points()[g].weight;
+    const std::size_t nloc = row_off[g + 1] - row_off[g];
+    const double* phi = ao.data() + row_off[g];
+    const double* gx = ax.data() + row_off[g];
+    const double* gy = ay.data() + row_off[g];
+    const double* gz = az.data() + row_off[g];
+    const std::uint32_t* idx = cols.data() + row_off[g];
+
+    SpinDensity d;
+    for (std::size_t mu = 0; mu < nloc; ++mu) {
+      double ta = 0.0, tb = 0.0;
+      for (std::size_t nu = 0; nu < nloc; ++nu) {
+        ta += density_alpha(idx[mu], idx[nu]) * phi[nu];
+        tb += density_beta(idx[mu], idx[nu]) * phi[nu];
+      }
+      pa_phi[mu] = ta;
+      pb_phi[mu] = tb;
+      d.rho_a += ta * phi[mu];
+      d.rho_b += tb * phi[mu];
+    }
+    if (d.rho() < 1e-12) continue;
+    result.integrated_density += w * d.rho();
+
+    double gax = 0, gay = 0, gaz = 0, gbx = 0, gby = 0, gbz = 0;
+    if (functional.needs_gradient) {
+      for (std::size_t mu = 0; mu < nloc; ++mu) {
+        gax += 2.0 * pa_phi[mu] * gx[mu];
+        gay += 2.0 * pa_phi[mu] * gy[mu];
+        gaz += 2.0 * pa_phi[mu] * gz[mu];
+        gbx += 2.0 * pb_phi[mu] * gx[mu];
+        gby += 2.0 * pb_phi[mu] * gy[mu];
+        gbz += 2.0 * pb_phi[mu] * gz[mu];
+      }
+      d.sigma_aa = gax * gax + gay * gay + gaz * gaz;
+      d.sigma_bb = gbx * gbx + gby * gby + gbz * gbz;
+      d.sigma_ab = gax * gbx + gay * gby + gaz * gbz;
+    }
+
+    const double e = functional.energy_density(d);
+    result.energy += w * e;
+
+    // Central-difference potentials over the five variables.
+    auto deriv = [&](auto mutate, double scale_hint) {
+      const double h = std::max(1e-10, 1e-6 * std::abs(scale_hint));
+      SpinDensity dp = d, dm = d;
+      mutate(dp, h);
+      mutate(dm, -h);
+      return (functional.energy_density(dp) - functional.energy_density(dm)) /
+             (2.0 * h);
+    };
+    const double vra =
+        deriv([](SpinDensity& s, double h) { s.rho_a += h; }, d.rho());
+    const double vrb =
+        deriv([](SpinDensity& s, double h) { s.rho_b += h; }, d.rho());
+    double vsaa = 0, vsbb = 0, vsab = 0;
+    if (functional.needs_gradient) {
+      const double shint = std::max(1e-8, d.sigma());
+      vsaa = deriv([](SpinDensity& s, double h) { s.sigma_aa += h; }, shint);
+      vsbb = deriv([](SpinDensity& s, double h) { s.sigma_bb += h; }, shint);
+      vsab = deriv([](SpinDensity& s, double h) { s.sigma_ab += h; }, shint);
+    }
+
+    // V_a += w [vra phi phi^T + (2 vsaa grad_a + vsab grad_b).(grad(phi)
+    // phi^T + phi grad(phi)^T)]; same for beta with labels swapped.
+    for (std::size_t mu = 0; mu < nloc; ++mu) {
+      const double da = gax * gx[mu] + gay * gy[mu] + gaz * gz[mu];
+      const double db = gbx * gx[mu] + gby * gy[mu] + gbz * gz[mu];
+      const double ta =
+          0.5 * w * vra * phi[mu] + w * (2.0 * vsaa * da + vsab * db);
+      const double tb =
+          0.5 * w * vrb * phi[mu] + w * (2.0 * vsbb * db + vsab * da);
+      for (std::size_t nu = 0; nu < nloc; ++nu) {
+        if (ta != 0.0) {
+          result.v_alpha(idx[mu], idx[nu]) += ta * phi[nu];
+          result.v_alpha(idx[nu], idx[mu]) += ta * phi[nu];
+        }
+        if (tb != 0.0) {
+          result.v_beta(idx[mu], idx[nu]) += tb * phi[nu];
+          result.v_beta(idx[nu], idx[mu]) += tb * phi[nu];
+        }
+      }
+    }
+  }
+  return result;
+}
+
 
 }  // namespace mthfx::testing

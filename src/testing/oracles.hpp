@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "chem/basis.hpp"
+#include "dft/xc_integrator.hpp"
 #include "linalg/matrix.hpp"
 
 namespace mthfx::testing {
@@ -61,5 +62,19 @@ double coulomb_energy_from_tensor(const chem::BasisSet& basis,
 double exchange_energy_from_tensor(const chem::BasisSet& basis,
                                    const std::vector<double>& tensor,
                                    const linalg::Matrix& density);
+
+/// Per-point XC reference: the integrator's original kernel, one grid
+/// point at a time with O(nloc^2) loops over `xc`'s cached AO table,
+/// writing both triangles of V at every point, serial. The batched,
+/// threaded XcIntegrator::integrate must agree to rounding.
+dft::XcResult reference_xc(const dft::XcIntegrator& xc,
+                           const dft::Functional& functional,
+                           const linalg::Matrix& density);
+
+/// Per-point reference for XcIntegrator::integrate_spin, as reference_xc.
+dft::XcSpinResult reference_xc_spin(const dft::XcIntegrator& xc,
+                                   const dft::SpinFunctional& functional,
+                                   const linalg::Matrix& density_alpha,
+                                   const linalg::Matrix& density_beta);
 
 }  // namespace mthfx::testing

@@ -1,11 +1,14 @@
-// Bit-identical HFX results across thread counts and schedules.
+// Bit-identical HFX and XC results across thread counts and schedules.
 //
 // J and K accumulate through the deterministic slot scheme
 // (parallel/slots.hpp): the slot cut depends only on task costs and the
 // accumulator size, and slot partials combine in a fixed tree. Every
 // element must therefore be *equal* — not close — for any thread count
 // under every schedule, in the dense and the blocked build alike, and so
-// must the PBE0 energy and the two-electron gradient built on top.
+// must the PBE0 energy and the two-electron gradient built on top. The
+// XC integrator runs its grid-point batches through the same scheme, so
+// E_xc, V_xc, ∫rho and the XC gradient are equal too, with the dense and
+// the screened AO cache alike.
 
 #include <gtest/gtest.h>
 
@@ -13,16 +16,22 @@
 #include <vector>
 
 #include "chem/basis.hpp"
+#include "dft/functionals.hpp"
+#include "dft/grid.hpp"
+#include "dft/spin_functionals.hpp"
+#include "dft/xc_integrator.hpp"
 #include "hfx/fock_builder.hpp"
 #include "hfx/grad_contraction.hpp"
 #include "linalg/block_sparse.hpp"
 #include "linalg/matrix.hpp"
 #include "scf/rks.hpp"
 #include "scf/sparse_scf.hpp"
+#include "scf/uks.hpp"
 #include "workload/geometries.hpp"
 #include "workload/replicate.hpp"
 
 namespace chem = mthfx::chem;
+namespace dft = mthfx::dft;
 namespace hfx = mthfx::hfx;
 namespace la = mthfx::linalg;
 namespace scf = mthfx::scf;
@@ -178,5 +187,102 @@ TEST(HfxDeterminism, TwoElectronGradientBitIdenticalAcrossThreads) {
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t a = 0; a < ref.size(); ++a)
       EXPECT_EQ(got[a], ref[a]) << "atom " << a << " threads " << threads;
+  }
+}
+
+namespace {
+
+dft::GridOptions coarse_grid() {
+  dft::GridOptions g;
+  g.radial_points = 20;
+  g.angular_points = 26;
+  return g;
+}
+
+}  // namespace
+
+TEST(XcDeterminism, IntegrateBitIdenticalAcrossThreads) {
+  const auto mol = water_dimer();
+  const auto basis = chem::BasisSet::build(mol, "sto-3g");
+  const dft::MolecularGrid grid(mol, coarse_grid());
+  const la::Matrix p = random_density(basis.num_functions(), 21);
+  const auto functional = dft::make_functional("pbe0");
+  for (const bool screened : {false, true}) {
+    const auto ref =
+        dft::XcIntegrator(basis, grid, screened, 1).integrate(functional, p);
+    for (const std::size_t threads : kThreadCounts) {
+      const std::string what = std::string(screened ? "screened" : "dense") +
+                               " threads " + std::to_string(threads);
+      const dft::XcIntegrator xc(basis, grid, screened, threads);
+      const auto got = xc.integrate(functional, p);
+      EXPECT_EQ(got.energy, ref.energy) << what;
+      EXPECT_EQ(got.integrated_density, ref.integrated_density) << what;
+      expect_bitwise_equal(got.v, ref.v, "V_xc " + what);
+      EXPECT_EQ(xc.integrate_density(p),
+                dft::XcIntegrator(basis, grid, screened, 1)
+                    .integrate_density(p))
+          << what;
+    }
+  }
+}
+
+TEST(XcDeterminism, IntegrateSpinBitIdenticalAcrossThreads) {
+  const auto mol = water_dimer();
+  const auto basis = chem::BasisSet::build(mol, "sto-3g");
+  const dft::MolecularGrid grid(mol, coarse_grid());
+  const la::Matrix pa = random_density(basis.num_functions(), 22);
+  const la::Matrix pb = random_density(basis.num_functions(), 23);
+  const auto functional = dft::make_spin_functional("pbe0");
+  for (const bool screened : {false, true}) {
+    const auto ref = dft::XcIntegrator(basis, grid, screened, 1)
+                         .integrate_spin(functional, pa, pb);
+    for (const std::size_t threads : kThreadCounts) {
+      const std::string what = std::string(screened ? "screened" : "dense") +
+                               " threads " + std::to_string(threads);
+      const auto got = dft::XcIntegrator(basis, grid, screened, threads)
+                           .integrate_spin(functional, pa, pb);
+      EXPECT_EQ(got.energy, ref.energy) << what;
+      EXPECT_EQ(got.integrated_density, ref.integrated_density) << what;
+      expect_bitwise_equal(got.v_alpha, ref.v_alpha, "V_alpha " + what);
+      expect_bitwise_equal(got.v_beta, ref.v_beta, "V_beta " + what);
+    }
+  }
+}
+
+TEST(XcDeterminism, GradientBitIdenticalAcrossThreads) {
+  const auto mol = water_dimer();
+  const auto basis = chem::BasisSet::build(mol, "sto-3g");
+  const dft::MolecularGrid grid(mol, coarse_grid());
+  const la::Matrix p = random_density(basis.num_functions(), 24);
+  const auto functional = dft::make_functional("pbe");
+  const auto ref = dft::xc_gradient(basis, grid, functional, p, mol, 1);
+  for (const bool screened : {false, true})
+    for (const std::size_t threads : kThreadCounts) {
+      const auto got = dft::XcIntegrator(basis, grid, screened, threads)
+                           .gradient(functional, p, mol);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t a = 0; a < ref.size(); ++a)
+        EXPECT_EQ(got[a], ref[a]) << "atom " << a << " threads " << threads
+                                  << (screened ? " screened" : " dense");
+    }
+}
+
+TEST(XcDeterminism, UksPbe0LithiumDoubletBitIdenticalAcrossThreads) {
+  chem::Molecule li;
+  li.add_atom(3, {0, 0, 0});
+  const auto basis = chem::BasisSet::build(li, "sto-3g");
+  scf::UksOptions base;
+  base.functional = "pbe0";
+  base.grid.radial_points = 35;
+  base.scf.hfx.num_threads = 1;
+  const auto ref = scf::uks(li, basis, 2, base);
+  ASSERT_TRUE(ref.scf.converged);
+  for (const std::size_t threads : kThreadCounts) {
+    scf::UksOptions opts = base;
+    opts.scf.hfx.num_threads = threads;
+    const auto got = scf::uks(li, basis, 2, opts);
+    EXPECT_EQ(got.scf.energy, ref.scf.energy) << "threads " << threads;
+    EXPECT_EQ(got.xc_energy, ref.xc_energy) << "threads " << threads;
+    EXPECT_EQ(got.scf.iterations, ref.scf.iterations) << "threads " << threads;
   }
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -15,6 +16,10 @@
 
 #include "chem/basis.hpp"
 #include "chem/molecule.hpp"
+#include "dft/functionals.hpp"
+#include "dft/grid.hpp"
+#include "dft/spin_functionals.hpp"
+#include "dft/xc_integrator.hpp"
 #include "hfx/fock_builder.hpp"
 #include "ints/eri.hpp"
 #include "ints/eri_batch.hpp"
@@ -26,8 +31,10 @@
 #include "testing/oracles.hpp"
 #include "testing/property.hpp"
 #include "workload/geometries.hpp"
+#include "workload/replicate.hpp"
 
 namespace chem = mthfx::chem;
+namespace dft = mthfx::dft;
 namespace hfx = mthfx::hfx;
 namespace la = mthfx::linalg;
 namespace mt = mthfx::testing;
@@ -417,4 +424,94 @@ TEST(Differential, BuildAgreesAcrossEriKernels) {
                  ", |K_dense - K_sparse| " + fmt(dd);
         return "";
       });
+}
+
+namespace {
+
+/// Positive semidefinite density C C^T with k random columns: rho >= 0
+/// everywhere, like an SCF density, but with no structure to hide behind.
+la::Matrix psd_density(std::size_t n, std::size_t k, std::uint64_t seed) {
+  mt::Rng rng(seed);
+  la::Matrix c(n, k);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t o = 0; o < k; ++o) c(i, o) = rng.uniform(-0.4, 0.4);
+  return la::matmul(c, la::transpose(c));
+}
+
+/// max |a - b| / max |b|; a NaN anywhere counts as an infinite
+/// difference.
+double relative_diff(const la::Matrix& a, const la::Matrix& b) {
+  double diff = 0.0, scale = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    const double x = a.data()[i], y = b.data()[i];
+    if (std::isnan(x) || std::isnan(y)) return INFINITY;
+    diff = std::max(diff, std::abs(x - y));
+    scale = std::max(scale, std::abs(y));
+  }
+  return scale > 0.0 ? diff / scale : diff;
+}
+
+double relative_diff(double a, double b) {
+  return std::abs(a - b) / std::max(std::abs(b), 1e-300);
+}
+
+/// The batched, threaded integrator against the per-point reference on
+/// one system, for lda, pbe and pbe0, closed and open shell: E, V and
+/// ∫rho agree to 1e-12 relative.
+void expect_xc_matches_reference(const chem::Molecule& mol,
+                                 const std::string& basis_name,
+                                 const dft::GridOptions& grid_options,
+                                 bool screen_basis) {
+  const auto basis = chem::BasisSet::build(mol, basis_name);
+  const std::size_t n = basis.num_functions();
+  const dft::MolecularGrid grid(mol, grid_options);
+  const dft::XcIntegrator xc(basis, grid, screen_basis, /*num_threads=*/3);
+  if (screen_basis) {
+    EXPECT_LT(xc.cached_fraction(), 1.0);
+  }
+  const la::Matrix p = psd_density(n, 6, 11);
+  const la::Matrix pa = psd_density(n, 4, 12);
+  const la::Matrix pb = psd_density(n, 3, 13);
+  constexpr double kTol = 1e-12;
+  for (const char* name : {"lda", "pbe", "pbe0"}) {
+    SCOPED_TRACE(name);
+    const auto f = dft::make_functional(name);
+    const auto got = xc.integrate(f, p);
+    const auto ref = mt::reference_xc(xc, f, p);
+    EXPECT_LE(relative_diff(got.energy, ref.energy), kTol);
+    EXPECT_LE(relative_diff(got.integrated_density, ref.integrated_density),
+              kTol);
+    EXPECT_LE(relative_diff(got.v, ref.v), kTol);
+
+    const auto fs = dft::make_spin_functional(name);
+    const auto got_s = xc.integrate_spin(fs, pa, pb);
+    const auto ref_s = mt::reference_xc_spin(xc, fs, pa, pb);
+    EXPECT_LE(relative_diff(got_s.energy, ref_s.energy), kTol);
+    EXPECT_LE(
+        relative_diff(got_s.integrated_density, ref_s.integrated_density),
+        kTol);
+    EXPECT_LE(relative_diff(got_s.v_alpha, ref_s.v_alpha), kTol);
+    EXPECT_LE(relative_diff(got_s.v_beta, ref_s.v_beta), kTol);
+  }
+}
+
+}  // namespace
+
+// Dense AO table: every batch's panels are contiguous rows of the cache.
+TEST(Differential, BatchedXcMatchesPerPointReferenceDense) {
+  expect_xc_matches_reference(mthfx::workload::water(), "6-31g*", {},
+                              /*screen_basis=*/false);
+}
+
+// Screened AO table: each batch gathers the union of its points' local
+// AOs, so the panels carry zeros the per-point loops never see.
+TEST(Differential, BatchedXcMatchesPerPointReferenceScreened) {
+  dft::GridOptions grid_options;
+  grid_options.radial_points = 20;
+  grid_options.angular_points = 26;
+  const auto box =
+      mthfx::workload::box_of(mthfx::workload::propylene_carbonate(), 2, 1.0,
+                              5);
+  expect_xc_matches_reference(box, "sto-3g", grid_options,
+                              /*screen_basis=*/true);
 }

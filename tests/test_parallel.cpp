@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "obs/registry.hpp"
-#include "parallel/reduce.hpp"
 #include "parallel/slots.hpp"
 #include "parallel/team.hpp"
 #include "parallel/thread_pool.hpp"
@@ -318,86 +317,6 @@ TEST(Team, ZeroRanksRejected) {
   EXPECT_THROW(par::Team team(0), std::invalid_argument);
 }
 
-// --- Row-blocked tree reduction (parallel/reduce.hpp) -----------------
-
-namespace {
-
-// Integer-valued buffers: every partial sum is exactly representable, so
-// any tree shape must reproduce the serial sum bit for bit.
-std::vector<std::vector<double>> integer_parts(std::size_t nparts,
-                                               std::size_t len) {
-  std::vector<std::vector<double>> parts(nparts, std::vector<double>(len));
-  for (std::size_t t = 0; t < nparts; ++t)
-    for (std::size_t i = 0; i < len; ++i)
-      parts[t][i] = static_cast<double>((t + 1) * 31 + i * 7 % 113);
-  return parts;
-}
-
-std::vector<double> serial_sum(const std::vector<std::vector<double>>& parts) {
-  std::vector<double> total(parts.front().size(), 0.0);
-  for (const auto& p : parts)
-    for (std::size_t i = 0; i < total.size(); ++i) total[i] += p[i];
-  return total;
-}
-
-}  // namespace
-
-TEST(TreeReduce, MatchesSerialSumForAllPartCounts) {
-  par::ThreadPool pool(4);
-  for (std::size_t nparts : {1u, 2u, 3u, 5u, 8u, 13u}) {
-    auto parts = integer_parts(nparts, 257);
-    const auto expected = serial_sum(parts);
-    std::vector<double*> ptrs;
-    for (auto& p : parts) ptrs.push_back(p.data());
-    par::tree_reduce(pool, ptrs, 257);
-    EXPECT_EQ(parts.front(), expected) << "nparts=" << nparts;
-  }
-}
-
-TEST(TreeReduce, DeterministicAcrossPoolSizes) {
-  // The combination tree is fixed by the number of partials, so the
-  // pool's thread count must be invisible — bit for bit — even for
-  // non-representable fractional values.
-  std::vector<std::vector<double>> reference;
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    par::ThreadPool pool(threads);
-    std::vector<std::vector<double>> parts(
-        6, std::vector<double>(101));
-    for (std::size_t t = 0; t < parts.size(); ++t)
-      for (std::size_t i = 0; i < parts[t].size(); ++i)
-        parts[t][i] = 0.1 * static_cast<double>(t + 1) +
-                      1e-3 * static_cast<double>(i) / 3.0;
-    std::vector<double*> ptrs;
-    for (auto& p : parts) ptrs.push_back(p.data());
-    par::tree_reduce(pool, ptrs, 101);
-    if (reference.empty())
-      reference.push_back(parts.front());
-    else
-      EXPECT_EQ(parts.front(), reference.front()) << "threads=" << threads;
-  }
-}
-
-TEST(TreeReduce, EmptyAndSinglePartAreNoops) {
-  par::ThreadPool pool(2);
-  std::vector<double> only{1.0, 2.0, 3.0};
-  std::vector<double*> one{only.data()};
-  par::tree_reduce(pool, one, only.size());
-  EXPECT_EQ(only, (std::vector<double>{1.0, 2.0, 3.0}));
-  std::vector<double*> none;
-  par::tree_reduce(pool, none, 0);  // must not touch anything
-}
-
-TEST(TreeReduce, LengthShorterThanBlockCount) {
-  // len < nthreads: trailing blocks are empty ranges and must be safe.
-  par::ThreadPool pool(8);
-  auto parts = integer_parts(4, 3);
-  const auto expected = serial_sum(parts);
-  std::vector<double*> ptrs;
-  for (auto& p : parts) ptrs.push_back(p.data());
-  par::tree_reduce(pool, ptrs, 3);
-  EXPECT_EQ(parts.front(), expected);
-}
-
 // ---------------------------------------------------------------------------
 // Deterministic slot accumulation (parallel/slots.hpp).
 
@@ -545,4 +464,26 @@ TEST(SlotReducer, ZeroSlotsGiveZeros) {
   par::SlotReducer reducer(0, 4);
   ASSERT_EQ(reducer.total().size(), 4u);
   for (double v : reducer.total()) EXPECT_EQ(v, 0.0);
+}
+
+TEST(SumSlots, TotalBitIdenticalAcrossThreadCounts) {
+  const auto costs = varied_costs(200, 17);
+  const par::SlotPlan plan = par::plan_slots(costs, 1);
+  constexpr std::size_t len = 23;
+  auto run = [&](std::size_t threads) {
+    return par::sum_slots(
+        plan.size(), len, threads,
+        [&](std::size_t slot, double* partial, std::size_t tid) {
+          EXPECT_LT(tid, par::resolve_thread_count(threads));
+          for (std::size_t t = plan.begin(slot); t < plan.end(slot); ++t)
+            for (std::size_t e = 0; e < len; ++e)
+              partial[e] += contribution(t, e);
+        });
+  };
+  par::ThreadPool serial(1);
+  const auto ref = slot_sum(serial, plan, len, par::Schedule::kDynamic);
+  for (std::size_t threads : {1u, 2u, 3u, 4u, 8u})
+    EXPECT_EQ(run(threads), ref) << "threads " << threads;
+  EXPECT_EQ(par::sum_slots(0, 3, 4, [](std::size_t, double*, std::size_t) {}),
+            std::vector<double>(3, 0.0));
 }
