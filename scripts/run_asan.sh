@@ -5,7 +5,9 @@
 # unwinding: the fault-injection/retry/checkpoint suite (tasks throw
 # mid-kernel and must not leak or double-free scratch), the scheduler
 # and thread-pool stack, and the JSON parser the checkpoint files go
-# through. A heap error anywhere in that stack fails this script.
+# through, and the shared SCF loop (scf/solve.cpp) whose per-channel
+# vectors index one or two spin channels. A heap error anywhere in that
+# stack fails this script.
 #
 # Usage: scripts/run_asan.sh [build-dir]   (default: build-asan)
 
@@ -17,7 +19,7 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "$BUILD_DIR" -S . -DMTHFX_SANITIZE=address
 cmake --build "$BUILD_DIR" -j --target test_fault test_parallel test_obs \
   test_hfx test_property_hfx test_durability test_property_grad test_serve \
-  test_scaling test_property_scaling
+  test_scaling test_property_scaling test_scf test_uhf
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:strict_string_checks=1"
 
@@ -51,6 +53,12 @@ MTHFX_PROPERTY_ITERS=2 "$BUILD_DIR"/tests/test_property_grad \
 # raw-index territory.
 "$BUILD_DIR"/tests/test_scaling \
   --gtest_filter='PairCulling.*:BlockedBuild.*:SparsityOptions.*'
+# The SCF loop: one closed-shell channel (rhf/rks, dense diagonalization)
+# and two open-shell channels (uhf/uks) in full, plus the purification
+# density step through the blocked rhf route.
+"$BUILD_DIR"/tests/test_scf
+"$BUILD_DIR"/tests/test_uhf
+"$BUILD_DIR"/tests/test_scaling --gtest_filter='SparseScf.*'
 MTHFX_PROPERTY_ITERS=3 "$BUILD_DIR"/tests/test_property_scaling \
   --gtest_filter='PropertyScaling.CellListCandidatesCoverSurvivingPairs:PropertyScaling.CulledPairListMatchesDenseSweep'
 

@@ -171,21 +171,7 @@ StructuredResult run_structured(const Input& input) {
         out << "  dipole moment: " << result.dipole_debye << " D\n";
       }
       if (input.task == Task::kGradient && r.scf.converged) {
-        std::vector<chem::Vec3> g;
-        if (input.method == "hf") {
-          // Re-run through the RHF driver to get orbital data.
-          scf::ScfOptions rhf_opts;
-          rhf_opts.hfx.eps_schwarz = input.eps_schwarz;
-          rhf_opts.hfx.num_threads = input.num_threads;
-          rhf_opts.hfx.sparsity.mode = sparsity_mode(input);
-          rhf_opts.hfx.fault = input.fault;
-          rhf_opts.hfx.validate_tasks = input.fault.enabled();
-          rhf_opts.cancel = input.cancel;
-          const auto hf = scf::rhf(mol, basis, rhf_opts);
-          g = scf::rhf_gradient(mol, basis, hf);
-        } else {
-          g = scf::ks_gradient(mol, basis, opts, r);
-        }
+        const std::vector<chem::Vec3> g = scf::ks_gradient(mol, basis, opts, r);
         result.gradient = g;
         out << "  gradient (Ha/bohr):\n";
         for (std::size_t i = 0; i < g.size(); ++i)

@@ -25,11 +25,11 @@ struct ScfCheckpoint {
   double energy = 0.0;
   linalg::Matrix density;
   linalg::Matrix density_beta;  ///< open-shell only (empty otherwise)
-  // Incremental-Fock state (rhf/rks; empty when not in use).
+  // Incremental-Fock state (rhf, dense or blocked; empty when not in use).
   linalg::Matrix density_prev;
   linalg::Matrix j;
   linalg::Matrix k;
-  /// RHF's near-convergence switch to full builds (see rhf.cpp); must
+  /// RHF's near-convergence switch to full builds (see scf/solve.cpp); must
   /// survive a restart or the resumed run re-enters incremental mode and
   /// diverges bit-wise from the uninterrupted one.
   bool force_full_builds = false;

@@ -1,7 +1,8 @@
 #pragma once
 
-// SCF divergence detection and staged recovery. The four SCF drivers
-// feed every iteration's (energy, ΔE, DIIS error) into a RecoveryLadder;
+// SCF divergence detection and staged recovery. The SCF loop
+// (scf/solve.hpp, behind rhf, rks, uhf, uks and sparse_rhf) feeds every
+// iteration's (energy, ΔE, DIIS error) into a RecoveryLadder;
 // when the sequence looks divergent — non-finite numbers, a sustained
 // ΔE sign oscillation, or DIIS error blowing up past its best value —
 // the ladder escalates one stage at a time:

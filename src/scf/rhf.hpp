@@ -1,10 +1,13 @@
 #pragma once
 
-// Restricted Hartree–Fock with DIIS and optional incremental Fock builds.
+// Restricted Hartree–Fock with DIIS and optional incremental Fock builds,
+// plus the option/result structs every SCF entry point shares.
 //
 // The HFX kernel enters through hfx::FockBuilder; as the density settles,
 // the incremental (ΔP) build plus density screening makes late SCF
 // iterations progressively cheaper — one of the paper's efficiency levers.
+// rhf, rks, uhf, uks and sparse_rhf all run one iteration loop
+// (scf/solve.hpp).
 
 #include <cstddef>
 #include <functional>
@@ -26,7 +29,9 @@ struct ScfOptions {
   double energy_tolerance = 1e-9;    ///< |dE| between iterations
   double diis_tolerance = 1e-7;      ///< max |FPS - SPF| for convergence
   bool use_diis = true;
-  bool incremental_fock = true;      ///< build J/K from ΔP when possible
+  /// Build J/K from ΔP when possible. Honoured by rhf (dense and
+  /// blocked); rks, uhf and uks always build J/K in full.
+  bool incremental_fock = true;
   std::size_t full_rebuild_every = 20;
   hfx::HfxOptions hfx;               ///< screening/schedule of the JK builds
   RecoveryOptions recovery;          ///< divergence detection / escalation
@@ -40,14 +45,15 @@ struct ScfOptions {
   std::function<void(const fault::ScfCheckpoint&)> checkpoint_sink;
   std::size_t checkpoint_every = 1;
 
-  /// Cooperative cancellation, polled once per SCF iteration (all four
-  /// drivers). An armed token makes the solve throw fault::Cancelled at
+  /// Cooperative cancellation, polled once per SCF iteration (every
+  /// entry point). An armed token makes the solve throw fault::Cancelled at
   /// the next iteration boundary — after the latest checkpoint, so a
   /// cancelled job resumes instead of restarting. Used by the engine's
   /// deadline watchdog to reclaim hung/overdue jobs.
   std::shared_ptr<const fault::CancelToken> cancel;
 
-  /// Warm-start density guess replacing the core guess (rhf and rks).
+  /// Warm-start density guess replacing the core guess (the closed-shell
+  /// entry points rhf, rks and sparse_rhf).
   /// The MD surface feeds extrapolated previous-step densities through
   /// here so mid-trajectory solves converge in a few iterations. Throws
   /// std::invalid_argument on a dimension mismatch with the basis.
@@ -86,6 +92,8 @@ struct ScfResult {
   double exchange_energy = 0.0;      ///< HFX part (scaled by hybrid weight)
   std::size_t iterations = 0;
   linalg::Matrix density;
+  /// Converged: canonical orbitals of the unextrapolated Fock matrix of
+  /// `density` (every entry point). Empty on the purification path.
   linalg::Matrix coefficients;
   linalg::Vector orbital_energies;
   std::vector<ScfIterationLog> log;
@@ -98,14 +106,6 @@ struct ScfResult {
 /// counts.
 ScfResult rhf(const chem::Molecule& mol, const chem::BasisSet& basis,
               const ScfOptions& options = {});
-
-/// Guess density honoring ScfOptions::initial_density (falls back to the
-/// core guess). Shared by the rhf and rks drivers.
-linalg::Matrix initial_scf_density(const chem::BasisSet& basis,
-                                   const chem::Molecule& mol,
-                                   const linalg::Matrix& x,
-                                   const ScfOptions& options,
-                                   const char* driver);
 
 /// HOMO-LUMO gap in Hartree (0 when no virtual orbital exists).
 double homo_lumo_gap(const ScfResult& result, const chem::Molecule& mol);

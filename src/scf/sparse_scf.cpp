@@ -1,21 +1,8 @@
 #include "scf/sparse_scf.hpp"
 
-#include <cmath>
-#include <optional>
-#include <stdexcept>
-
-#include "hfx/cell_list.hpp"
-#include "ints/one_electron.hpp"
-#include "linalg/diis.hpp"
-#include "linalg/purify.hpp"
-#include "obs/stopwatch.hpp"
-#include "obs/trace.hpp"
+#include "scf/solve.hpp"
 
 namespace mthfx::scf {
-
-using linalg::BlockPartition;
-using linalg::BlockSparseMatrix;
-using linalg::Matrix;
 
 linalg::BlockPartition shell_aligned_partition(const chem::BasisSet& basis,
                                                std::size_t target_nbf) {
@@ -31,266 +18,15 @@ linalg::BlockPartition shell_aligned_partition(const chem::BasisSet& basis,
   }
   if (filled > 0) offsets.push_back(offsets.back() + filled);
   if (offsets.size() == 1) offsets.push_back(basis.num_functions());
-  return BlockPartition(std::move(offsets));
+  return linalg::BlockPartition(std::move(offsets));
 }
-
-namespace {
-
-// Gaussian-product gate for the T/V assembly: with μ_min the smallest
-// product exponent of the pair, every primitive contribution carries
-// exp(-μ R²) ≤ exp(-kOneElectronLogCut) ≈ 4e-18; even amplified by
-// contraction/polynomial growth (~1e3) and the nuclear sum Σ_A Z_A/R
-// (~1e4 at a thousand atoms) the dropped V elements sit below ~1e-11.
-// Note this is a *distance* gate, not an overlap-magnitude gate: blocks
-// like same-center s|p have exactly zero overlap by parity yet O(1)
-// nuclear attraction, so |S| says nothing about |V|.
-constexpr double kOneElectronLogCut = 40.0;
-
-struct OneElectron {
-  Matrix s, h;
-  std::size_t candidates = 0;
-};
-
-// S and H = T + V assembled over cell-list candidate pairs only. The
-// pairs never proposed are beyond summed extent radii, where every
-// primitive product underflows the ERI kernel's own cutoff — the same
-// argument the culled ERI pair list rests on.
-OneElectron one_electron_culled(const chem::BasisSet& basis,
-                                const chem::Molecule& mol) {
-  const std::size_t nao = basis.num_functions();
-  OneElectron out{Matrix(nao, nao), Matrix(nao, nao), 0};
-  const hfx::CellList cells(basis, hfx::shell_extent_radii(basis));
-
-  const auto scatter = [&](Matrix& m, const Matrix& block, std::size_t sa,
-                           std::size_t sb) {
-    const std::size_t oa = basis.first_function(sa);
-    const std::size_t ob = basis.first_function(sb);
-    for (std::size_t i = 0; i < block.rows(); ++i)
-      for (std::size_t j = 0; j < block.cols(); ++j) {
-        m(oa + i, ob + j) = block(i, j);
-        m(ob + j, oa + i) = block(i, j);
-      }
-  };
-
-  // Smallest primitive exponent per shell; μ = αβ/(α+β) is monotone in
-  // both arguments, so the loosest product exponent of a pair is
-  // min_a min_b / (min_a + min_b).
-  std::vector<double> min_exp(basis.num_shells());
-  for (std::size_t s = 0; s < basis.num_shells(); ++s) {
-    double mn = basis.shell(s).exponents()[0];
-    for (const double e : basis.shell(s).exponents()) mn = std::min(mn, e);
-    min_exp[s] = mn;
-  }
-
-  std::vector<std::uint32_t> cand;
-  for (std::size_t sa = 0; sa < basis.num_shells(); ++sa) {
-    cand.clear();
-    cells.candidates(sa, &cand);
-    out.candidates += cand.size();
-    for (const std::uint32_t sb : cand) {
-      const Matrix sblock = ints::overlap_block(basis.shell(sa),
-                                                basis.shell(sb));
-      scatter(out.s, sblock, sa, sb);
-      const double r = chem::distance(basis.shell(sa).center(),
-                                      basis.shell(sb).center());
-      const double mu_min = min_exp[sa] * min_exp[sb] /
-                            (min_exp[sa] + min_exp[sb]);
-      if (mu_min * r * r > kOneElectronLogCut) continue;
-      Matrix hblock = ints::kinetic_block(basis.shell(sa), basis.shell(sb));
-      hblock += ints::nuclear_block(basis.shell(sa), basis.shell(sb), mol);
-      scatter(out.h, hblock, sa, sb);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 ScfResult sparse_rhf(const chem::Molecule& mol, const chem::BasisSet& basis,
                      const ScfOptions& options, SparseScfInfo* info) {
-  const obs::Trace::Scope scf_span(obs::global_trace(), "scf.sparse_rhf");
-  const int nelec = mol.num_electrons();
-  if (nelec % 2 != 0)
-    throw std::invalid_argument(
-        "sparse_rhf: closed-shell SCF needs even electrons");
-  const auto nocc = static_cast<std::size_t>(nelec / 2);
-  const std::size_t nao = basis.num_functions();
-  const double drop_tol = options.hfx.sparsity.drop_tol;
-  const BlockPartition partition =
-      shell_aligned_partition(basis, options.hfx.sparsity.block_nbf);
-
-  SparseScfInfo local_info;
-  SparseScfInfo& si = info ? *info : local_info;
-  si.nbf = nao;
-
-  // One-electron matrices over cell-list candidates.
-  const obs::Stopwatch oe_watch;
-  OneElectron oe = one_electron_culled(basis, mol);
-  si.one_electron_seconds = oe_watch.seconds();
-  si.pair_candidates = oe.candidates;
-  const Matrix& h = oe.h;
-  const double enuc = mol.nuclear_repulsion();
-
-  // Pair list + Hermite tables. The sparsity options route the builder
-  // to the culled cell-list constructor.
-  const obs::Stopwatch setup_watch;
-  std::optional<hfx::FockBuilder> own_builder;
-  if (options.shared_builder && &options.shared_builder->basis() != &basis)
-    throw std::invalid_argument(
-        "sparse_rhf: shared_builder is bound to a different basis object");
-  if (!options.shared_builder) own_builder.emplace(basis, options.hfx);
-  const hfx::FockBuilder& builder =
-      options.shared_builder ? *options.shared_builder : *own_builder;
-  si.num_pairs = builder.pairs().size();
-  si.setup_seconds = setup_watch.seconds();
-
-  // S^{-1/2} without an eigensolver.
-  const BlockSparseMatrix s_blk =
-      BlockSparseMatrix::from_dense(oe.s, partition, drop_tol);
-  const auto ns = linalg::inverse_sqrt_ns(s_blk, drop_tol);
-  if (!ns.converged)
-    throw std::runtime_error(
-        "sparse_rhf: Newton-Schulz S^{-1/2} did not converge (residual " +
-        std::to_string(ns.residual) + ")");
-  const BlockSparseMatrix& x_blk = ns.inverse_sqrt;
-  si.ns_iterations = ns.iterations;
-  si.ns_residual = ns.residual;
-
-  // Orthonormal-basis density from a Fock-like matrix via TC2; AO-basis
-  // closed-shell density is 2 X P' X.
-  const auto density_from_fock = [&](const BlockSparseMatrix& f_blk,
-                                     linalg::PurifyStats* stats) -> Matrix {
-    const BlockSparseMatrix f_ortho = linalg::multiply(
-        linalg::multiply(x_blk, f_blk, drop_tol), x_blk, drop_tol);
-    BlockSparseMatrix p_ortho = linalg::tc2_density(f_ortho, nocc, drop_tol,
-                                                    stats);
-    if (stats && !stats->converged)
-      throw std::runtime_error("sparse_rhf: TC2 purification did not converge");
-    BlockSparseMatrix p_ao = linalg::multiply(
-        linalg::multiply(x_blk, p_ortho, drop_tol), x_blk, drop_tol);
-    p_ao.scale(2.0);
-    si.density_nnz = p_ao.nnz_fraction();
-    return p_ao.to_dense();
-  };
-
-  // Guess: TC2 on the core Hamiltonian — the same physics as the dense
-  // path's core guess, reached without a diagonalization.
-  Matrix p;
-  if (options.initial_density) {
-    if (options.initial_density->rows() != nao ||
-        options.initial_density->cols() != nao)
-      throw std::invalid_argument(
-          "sparse_rhf: initial_density dimension mismatch");
-    p = *options.initial_density;
-  } else {
-    linalg::PurifyStats guess_stats;
-    p = density_from_fock(
-        BlockSparseMatrix::from_dense(h, partition, drop_tol), &guess_stats);
-  }
-
-  Matrix p_prev;  // density of the last built J/K
-  Matrix j, k;
-  bool force_full = false;
-  linalg::Diis diis;
-
-  ScfResult result;
-  result.nuclear_repulsion = enuc;
-  double e_prev = 0.0;
-
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    if (options.cancel) options.cancel->check();
-    const obs::Trace::Scope iter_span(obs::global_trace(),
-                                      "scf.sparse_iteration");
-    const obs::Stopwatch iter_watch;
-    ScfIterationLog log_entry;
-
-    const bool full_build = !options.incremental_fock || p_prev.empty() ||
-                            force_full ||
-                            (iter % options.full_rebuild_every == 0);
-    {
-      const BlockSparseMatrix dp_blk = BlockSparseMatrix::from_dense(
-          full_build ? p : p - p_prev, partition, drop_tol);
-      auto jk = builder.coulomb_exchange_blocked(dp_blk);
-      if (full_build) {
-        j = std::move(jk.j);
-        k = std::move(jk.k);
-      } else {
-        j += jk.j;
-        k += jk.k;
-      }
-      log_entry.quartets_computed = jk.stats.screening.quartets_computed;
-      log_entry.jk_seconds = jk.stats.wall_seconds;
-      si.jk_seconds_total += jk.stats.wall_seconds;
-    }
-    p_prev = p;
-
-    Matrix f = h + j - 0.5 * k;
-
-    const double e1 = linalg::trace_product(p, h);
-    const double ej = 0.5 * linalg::trace_product(p, j);
-    const double ek = -0.25 * linalg::trace_product(p, k);
-    const double energy = e1 + ej + ek + enuc;
-
-    // DIIS error F P S - S P F through blocked multiplies — the dense
-    // commutator would be three O(nao³) matmuls.
-    const BlockSparseMatrix f_blk =
-        BlockSparseMatrix::from_dense(f, partition, drop_tol);
-    si.fock_nnz = f_blk.nnz_fraction();
-    const BlockSparseMatrix p_blk =
-        BlockSparseMatrix::from_dense(p, partition, drop_tol);
-    const BlockSparseMatrix fps = linalg::multiply(
-        linalg::multiply(f_blk, p_blk, drop_tol), s_blk, drop_tol);
-    const Matrix fps_dense = fps.to_dense();
-    const Matrix err_dense = fps_dense - linalg::transpose(fps_dense);
-    const double diis_err_norm = linalg::max_abs(err_dense);
-    const double delta_e = energy - e_prev;
-
-    if (!std::isfinite(energy) || !std::isfinite(diis_err_norm)) {
-      result.diagnostics.finite = false;
-      result.diagnostics.failure_reason =
-          "sparse_rhf: non-finite iterate (no recovery ladder on this path)";
-      break;
-    }
-    if (options.use_diis) f = diis.extrapolate(f, err_dense);
-
-    log_entry.energy = energy;
-    log_entry.delta_e = delta_e;
-    log_entry.diis_error = diis_err_norm;
-    log_entry.seconds = iter_watch.seconds();
-    result.log.push_back(log_entry);
-
-    const bool e_converged =
-        iter > 0 && std::abs(delta_e) < options.energy_tolerance;
-    const bool d_converged = diis_err_norm < options.diis_tolerance;
-    e_prev = energy;
-    // Same endgame rule as the dense driver: once DIIS error is inside
-    // tolerance, keep building in full so the energy test compares
-    // drift-free values.
-    if (!force_full && options.incremental_fock && d_converged)
-      force_full = true;
-
-    if (e_converged && d_converged && full_build) {
-      result.converged = true;
-      result.energy = energy;
-      result.one_electron_energy = e1;
-      result.coulomb_energy = ej;
-      result.exchange_energy = ek;
-      result.iterations = iter + 1;
-      result.density = p;
-      return result;
-    }
-
-    linalg::PurifyStats tc2_stats;
-    p = density_from_fock(
-        BlockSparseMatrix::from_dense(f, partition, drop_tol), &tc2_stats);
-    si.last_tc2_iterations = tc2_stats.iterations;
-  }
-
-  result.converged = false;
-  result.energy = e_prev;
-  result.iterations = result.log.size();
-  result.density = p;
-  return result;
+  detail::SolveParams params = detail::closed_shell("rhf", mol, options);
+  params.step = detail::DensityStep::kPurify;
+  params.sparse_info = info;
+  return detail::to_scf_result(detail::solve(mol, basis, params));
 }
 
 }  // namespace mthfx::scf

@@ -1,8 +1,9 @@
 #pragma once
 
-// Near-linear RHF driver for large electrolyte boxes.
+// Near-linear RHF for large electrolyte boxes: the shared SCF loop
+// (scf/solve.hpp) with its purification density step.
 //
-// Composition of the three sparsity levers this layer owns:
+// Composition of the three sparsity levers this path owns:
 //  - one-electron matrices assembled over cell-list candidate pairs only
 //    (ints::*_block over hfx::CellList), never the dense O(ns²) sweep;
 //  - J/K from FockBuilder's density-linked blocked build
@@ -11,7 +12,7 @@
 //    update by TC2 purification (linalg/purify.hpp), both on block-sparse
 //    matrices whose retained fraction falls with box size.
 //
-// The driver is selected by scf::rhf automatically when
+// The path is selected by scf::rhf automatically when
 // options.hfx.sparsity.blocked(nbf) holds; callers keep using rhf().
 // The returned ScfResult carries energy/density/log but — by
 // construction, no orbitals exist — empty coefficients and
@@ -40,11 +41,9 @@ struct SparseScfInfo {
   double jk_seconds_total = 0.0;        ///< Σ blocked J/K build wall time
 };
 
-/// Closed-shell RHF with the blocked/purification pipeline. Honors
-/// max_iterations, tolerances, use_diis, incremental_fock,
-/// full_rebuild_every, hfx options (including sparsity), initial_density
-/// and shared_builder; checkpoint/resume and the recovery ladder are not
-/// wired into this path.
+/// Closed-shell RHF with the blocked/purification pipeline. Honors every
+/// ScfOptions field, as the dense rhf does: the recovery ladder, cancel
+/// and checkpoint/resume (method "rhf") included.
 ScfResult sparse_rhf(const chem::Molecule& mol, const chem::BasisSet& basis,
                      const ScfOptions& options = {},
                      SparseScfInfo* info = nullptr);

@@ -48,6 +48,8 @@ struct UhfResult {
   double s_squared = 0.0;
   linalg::Matrix density_alpha;  ///< P_a = C_a C_a^T (no factor 2)
   linalg::Matrix density_beta;
+  /// Converged: canonical orbitals of each channel's unextrapolated Fock
+  /// matrix of the returned densities (the ScfResult convention).
   linalg::Vector orbital_energies_alpha;
   linalg::Vector orbital_energies_beta;
   linalg::Matrix coefficients_alpha;

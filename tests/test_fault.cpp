@@ -28,6 +28,8 @@
 #include "scf/recovery.hpp"
 #include "scf/rhf.hpp"
 #include "scf/rks.hpp"
+#include "scf/uhf.hpp"
+#include "scf/uks.hpp"
 
 namespace chem = mthfx::chem;
 namespace fault = mthfx::fault;
@@ -506,6 +508,97 @@ TEST(Checkpoint, RksResumeReproducesUninterruptedRunExactly) {
   const auto resumed = scf::rks(m, basis, second);
   ASSERT_TRUE(resumed.scf.converged);
   EXPECT_EQ(resumed.scf.energy, full.scf.energy);
+}
+
+TEST(Checkpoint, BlockedRhfResumeReproducesUninterruptedRunExactly) {
+  // The purification path (sparsity blocked) resumes like the dense one,
+  // incremental J/K state included.
+  const auto m = water();
+  const auto basis = chem::BasisSet::build(m, "sto-3g");
+  scf::ScfOptions opts;
+  opts.hfx.num_threads = 1;
+  opts.hfx.sparsity.mode = hfx::SparsityMode::kBlocked;
+  const auto full = scf::rhf(m, basis, opts);
+  ASSERT_TRUE(full.converged);
+  ASSERT_GT(full.iterations, 3u);
+
+  std::shared_ptr<fault::ScfCheckpoint> saved;
+  auto first = opts;
+  first.max_iterations = 3;
+  first.checkpoint_sink = [&](const fault::ScfCheckpoint& c) {
+    saved = std::make_shared<fault::ScfCheckpoint>(c);
+  };
+  ASSERT_FALSE(scf::rhf(m, basis, first).converged);
+  ASSERT_TRUE(saved);
+  EXPECT_EQ(saved->method, "rhf");
+
+  auto second = opts;
+  second.resume = std::make_shared<fault::ScfCheckpoint>(
+      fault::scf_checkpoint_from_json(obs::Json::parse(to_json(*saved).dump())));
+  const auto resumed = scf::rhf(m, basis, second);
+  ASSERT_TRUE(resumed.converged);
+  EXPECT_EQ(resumed.energy, full.energy);
+  EXPECT_EQ(resumed.iterations, full.iterations);
+}
+
+TEST(Checkpoint, UhfResumeReproducesUninterruptedRunExactly) {
+  chem::Molecule li;
+  li.add_atom(3, {0, 0, 0});
+  const auto basis = chem::BasisSet::build(li, "sto-3g");
+  scf::UhfOptions opts;
+  opts.hfx.num_threads = 1;
+  const auto full = scf::uhf(li, basis, 2, opts);
+  ASSERT_TRUE(full.converged);
+  ASSERT_GT(full.iterations, 3u);
+
+  std::shared_ptr<fault::ScfCheckpoint> saved;
+  auto first = opts;
+  first.max_iterations = 3;
+  first.checkpoint_sink = [&](const fault::ScfCheckpoint& c) {
+    saved = std::make_shared<fault::ScfCheckpoint>(c);
+  };
+  ASSERT_FALSE(scf::uhf(li, basis, 2, first).converged);
+  ASSERT_TRUE(saved);
+  EXPECT_EQ(saved->method, "uhf");
+
+  auto second = opts;
+  second.resume = std::make_shared<fault::ScfCheckpoint>(
+      fault::scf_checkpoint_from_json(obs::Json::parse(to_json(*saved).dump())));
+  const auto resumed = scf::uhf(li, basis, 2, second);
+  ASSERT_TRUE(resumed.converged);
+  EXPECT_EQ(resumed.energy, full.energy);
+  EXPECT_EQ(resumed.iterations, full.iterations);
+}
+
+TEST(Checkpoint, UksResumeReproducesUninterruptedRunExactly) {
+  chem::Molecule li;
+  li.add_atom(3, {0, 0, 0});
+  const auto basis = chem::BasisSet::build(li, "sto-3g");
+  scf::UksOptions opts;
+  opts.functional = "pbe0";
+  opts.scf.hfx.num_threads = 1;
+  opts.grid.radial_points = 35;
+  const auto full = scf::uks(li, basis, 2, opts);
+  ASSERT_TRUE(full.scf.converged);
+  ASSERT_GT(full.scf.iterations, 3u);
+
+  std::shared_ptr<fault::ScfCheckpoint> saved;
+  auto first = opts;
+  first.scf.max_iterations = 3;
+  first.scf.checkpoint_sink = [&](const fault::ScfCheckpoint& c) {
+    saved = std::make_shared<fault::ScfCheckpoint>(c);
+  };
+  ASSERT_FALSE(scf::uks(li, basis, 2, first).scf.converged);
+  ASSERT_TRUE(saved);
+  EXPECT_EQ(saved->method, "uks");
+
+  auto second = opts;
+  second.scf.resume = std::make_shared<fault::ScfCheckpoint>(
+      fault::scf_checkpoint_from_json(obs::Json::parse(to_json(*saved).dump())));
+  const auto resumed = scf::uks(li, basis, 2, second);
+  ASSERT_TRUE(resumed.scf.converged);
+  EXPECT_EQ(resumed.scf.energy, full.scf.energy);
+  EXPECT_EQ(resumed.scf.iterations, full.scf.iterations);
 }
 
 // MD restart: stop a harmonic-diatomic trajectory at step 5, resume to

@@ -9,7 +9,6 @@
 
 #include "obs/registry.hpp"
 #include "parallel/slots.hpp"
-#include "parallel/team.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing.hpp"
 
@@ -242,79 +241,6 @@ TEST(TaskDeque, LifoOwnerFifoThief) {
   ASSERT_FALSE(stolen.empty());
   EXPECT_EQ(stolen.front(), 0u);
   EXPECT_EQ(d.size(), 9u - stolen.size());
-}
-
-TEST(Team, BarrierOrdersPhases) {
-  par::Team team(8);
-  std::atomic<int> phase1{0};
-  std::atomic<bool> ok{true};
-  team.run([&](par::RankContext& ctx) {
-    phase1.fetch_add(1);
-    ctx.barrier();
-    if (phase1.load() != 8) ok = false;
-  });
-  EXPECT_TRUE(ok.load());
-}
-
-TEST(Team, AllreduceSumScalar) {
-  par::Team team(5);
-  std::vector<double> results(5, 0.0);
-  team.run([&](par::RankContext& ctx) {
-    results[ctx.rank()] =
-        ctx.allreduce_sum(static_cast<double>(ctx.rank() + 1));
-  });
-  for (double r : results) EXPECT_DOUBLE_EQ(r, 15.0);  // 1+2+3+4+5
-}
-
-TEST(Team, AllreduceSumVector) {
-  par::Team team(4);
-  std::vector<std::vector<double>> buffers(4, std::vector<double>(3));
-  team.run([&](par::RankContext& ctx) {
-    auto& b = buffers[ctx.rank()];
-    for (std::size_t i = 0; i < 3; ++i)
-      b[i] = static_cast<double>(ctx.rank()) + static_cast<double>(i) * 10.0;
-    ctx.allreduce_sum(std::span<double>(b));
-  });
-  // Sum over ranks r of (r + 10 i) = 6 + 40 i.
-  for (const auto& b : buffers)
-    for (std::size_t i = 0; i < 3; ++i)
-      EXPECT_DOUBLE_EQ(b[i], 6.0 + 40.0 * static_cast<double>(i));
-}
-
-TEST(Team, AllreduceMax) {
-  par::Team team(6);
-  std::vector<double> results(6);
-  team.run([&](par::RankContext& ctx) {
-    const double mine = ctx.rank() == 3 ? 99.0 : static_cast<double>(ctx.rank());
-    results[ctx.rank()] = ctx.allreduce_max(mine);
-  });
-  for (double r : results) EXPECT_DOUBLE_EQ(r, 99.0);
-}
-
-TEST(Team, BroadcastFromNonzeroRoot) {
-  par::Team team(4);
-  std::vector<std::vector<double>> buffers(4, std::vector<double>(2, -1.0));
-  team.run([&](par::RankContext& ctx) {
-    auto& b = buffers[ctx.rank()];
-    if (ctx.rank() == 2) b = {3.5, -7.25};
-    ctx.broadcast(std::span<double>(b), 2);
-  });
-  for (const auto& b : buffers) {
-    EXPECT_DOUBLE_EQ(b[0], 3.5);
-    EXPECT_DOUBLE_EQ(b[1], -7.25);
-  }
-}
-
-TEST(Team, PropagatesExceptions) {
-  par::Team team(3);
-  EXPECT_THROW(team.run([&](par::RankContext& ctx) {
-                 if (ctx.rank() == 1) throw std::runtime_error("rank fail");
-               }),
-               std::runtime_error);
-}
-
-TEST(Team, ZeroRanksRejected) {
-  EXPECT_THROW(par::Team team(0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
