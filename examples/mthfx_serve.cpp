@@ -1,6 +1,7 @@
 // mthfx_serve — long-lived multi-tenant screening service: a TCP
 // front-end (NDJSON line protocol, docs/engine.md "Service") over the
-// multi-job execution engine with per-tenant fair-share scheduling.
+// multi-job execution engine, with a backlog per tenant and weighted
+// fair-share pickup.
 //
 //   ./build/examples/mthfx_serve --port=7777
 //   ./build/examples/mthfx_serve --port=0 --port-file=port.txt \
@@ -8,9 +9,13 @@
 //       --tenant=acme:2:64:8 --tenant=beta:1
 //   ./build/examples/mthfx_serve --journal=serve.wal --resume
 //
+// Every connection submits under the tenant its `hello` named, into that
+// tenant's own backlog; workers pick up across tenants by weighted
+// deficit round-robin and, within a tenant, by priority then FIFO.
 // --tenant=id:weight[:max_queued[:max_in_flight]] configures one
-// tenant's fair-share weight and quotas; unknown tenants that connect
-// get --default-weight/--default-max-queued/--default-max-in-flight.
+// tenant's weight, backlog cap and in-flight cap; unknown tenants that
+// connect get --default-weight/--default-max-queued/
+// --default-max-in-flight.
 // --port=0 binds an ephemeral port; --port-file writes the bound port
 // (single line) for whoever launched us.
 //
@@ -68,7 +73,6 @@ bool parse_tenant_spec(const std::string& spec,
 
 int main(int argc, char** argv) {
   mthfx::serve::ServeOptions options;
-  options.engine.queue_capacity = 64;
   options.engine.cache = true;
   std::string port_file;
   for (int i = 1; i < argc; ++i) {
@@ -86,8 +90,6 @@ int main(int argc, char** argv) {
       port_file = v;
     } else if ((v = value("--concurrency="))) {
       options.engine.concurrency = static_cast<std::size_t>(std::atoi(v));
-    } else if ((v = value("--queue-capacity="))) {
-      options.engine.queue_capacity = static_cast<std::size_t>(std::atoi(v));
     } else if ((v = value("--journal="))) {
       options.engine.journal_path = v;
     } else if ((v = value("--store="))) {
@@ -119,11 +121,13 @@ int main(int argc, char** argv) {
       std::fprintf(
           stderr,
           "usage: %s [--port=N] [--host=IP] [--port-file=path]\n"
-          "  [--concurrency=N] [--queue-capacity=N] [--journal=file.wal]\n"
+          "  [--concurrency=N] [--journal=file.wal]\n"
           "  [--resume] [--store=dir] [--checkpoints=dir] [--deadline=s]\n"
           "  [--tenant=id:weight[:max_queued[:max_in_flight]]]...\n"
           "  [--default-weight=W] [--default-max-queued=N]\n"
           "  [--default-max-in-flight=N] [--no-hello]\n"
+          "each tenant gets its own backlog (max_queued) and in-flight cap;\n"
+          "workers pick up across tenants by weight, within one by priority\n"
           "protocol: see docs/engine.md (Service)\n",
           argv[0]);
       return 2;
@@ -138,10 +142,9 @@ int main(int argc, char** argv) {
     using namespace mthfx;
     serve::Server server(options);
     server.start();
-    std::printf("mthfx_serve: listening on %s:%d (concurrency %zu, queue %zu"
-                "%s%s)\n",
+    std::printf("mthfx_serve: listening on %s:%d (concurrency %zu%s%s)\n",
                 options.host.c_str(), server.port(),
-                options.engine.concurrency, options.engine.queue_capacity,
+                options.engine.concurrency,
                 options.engine.journal_path.empty() ? "" : ", journaled",
                 options.resume ? ", resumed" : "");
     if (server.replayed() > 0)
@@ -182,7 +185,7 @@ int main(int argc, char** argv) {
         done, failed, rejected, canceled,
         static_cast<unsigned long long>(server.scheduler().store().hits()),
         static_cast<unsigned long long>(server.scheduler().store().misses()));
-    for (const auto& [tenant, stats] : server.fair_share().stats())
+    for (const auto& [tenant, stats] : server.scheduler().queue().stats())
       std::printf(
           "  tenant %-12s weight %.2g: %llu submitted, %llu completed, "
           "%llu failed, %llu rejected, %llu shed, %llu canceled\n",

@@ -28,7 +28,7 @@ export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:strict_string_checks=1"
 "$BUILD_DIR"/tests/test_obs
 # Scheduler-facing subset of test_hfx (the integral-heavy numerics are
 # slow under ASan and exercised by the plain build anyway).
-"$BUILD_DIR"/tests/test_hfx --gtest_filter='SchedulerExactness*:Schedulers.*:AllSchedules/*'
+"$BUILD_DIR"/tests/test_hfx --gtest_filter='AllSchedules/SchedulerExactness.*:AllSchedules/FockSchedules.*:Schedulers.*'
 # Small-iteration property subset: random shapes drive allocation-heavy
 # paths (tensor buffers, shrinker copies) through ASan without the full
 # 50-case budget.

@@ -12,14 +12,15 @@
 
 namespace mthfx::engine {
 
-/// What to run. `priority` orders the queue (higher first, FIFO within a
-/// level); `name` labels the job in reports ("pc.n2.sto-3g.pbe0").
+/// What to run. `priority` orders the job's tenant backlog (higher first,
+/// FIFO within a level); `name` labels the job in reports
+/// ("pc.n2.sto-3g.pbe0").
 struct Job {
   std::uint64_t id = 0;  ///< assigned at submission; 0 = unassigned
   std::string name;
-  /// Owning tenant (multi-tenant service layer); empty for single-tenant
+  /// Owning tenant: picks the JobQueue backlog. Empty for single-tenant
   /// campaign fronts like mthfx_queue. Carried through journal records
-  /// so per-tenant accounting survives a resume.
+  /// so a resumed job lands in the same backlog.
   std::string tenant;
   int priority = 0;
   /// Wall-clock deadline for one attempt; 0 inherits the engine default
@@ -27,11 +28,10 @@ struct Job {
   /// overdue attempt is cancelled at the next SCF-iteration cancellation
   /// point and retried with backoff.
   double deadline_seconds = 0.0;
-  /// Already written to the write-ahead journal by an upstream layer
-  /// (FairShareQueue journals at tenant admission so pending work
-  /// survives a crash; journal resume resubmits under existing records).
-  /// The scheduler skips its own `submitted` record when set, so a job
-  /// is journaled exactly once.
+  /// Already written to the write-ahead journal: journal resume
+  /// resubmits jobs whose `submitted` record is on disk. The scheduler
+  /// skips its own `submitted` record when set, so a job is journaled
+  /// exactly once.
   bool journaled = false;
   app::Input input;
 };

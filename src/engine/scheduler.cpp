@@ -19,6 +19,10 @@ bool file_exists(const std::string& path) {
   return std::ifstream(path).good();
 }
 
+bool terminal(JobState state) {
+  return state != JobState::kQueued && state != JobState::kRunning;
+}
+
 }  // namespace
 
 double backoff_delay_ms(const BackoffOptions& options, std::uint64_t job_id,
@@ -86,9 +90,17 @@ JobScheduler::~JobScheduler() {
 }
 
 void JobScheduler::publish(JobRecord record) {
-  if (options_.on_record) options_.on_record(record);
-  std::lock_guard<std::mutex> lock(records_mutex_);
-  records_.push_back(std::move(record));
+  {
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    auto it = record.id == 0 ? jobs_.end() : jobs_.find(record.id);
+    if (it == jobs_.end()) {
+      jobs_.emplace(record.id, std::move(record));
+    } else {
+      it->second = std::move(record);
+      --open_;
+    }
+  }
+  jobs_cv_.notify_all();
 }
 
 Admission JobScheduler::submit(Job job) {
@@ -97,40 +109,51 @@ Admission JobScheduler::submit(Job job) {
   rejected.name = job.name;
   rejected.tenant = job.tenant;
   rejected.priority = job.priority;
-  // The journal needs the job's content after the queue takes ownership;
-  // copy up front (submission cost is noise next to one SCF iteration).
-  Job journaled;
-  const bool journaling = journal_.active() && !job.journaled;
-  if (journaling) journaled = job;
-  Admission admission = queue_.submit(std::move(job));
-  if (admission.accepted) {
-    c_submitted_.add(submit_slot);
-    if (journaling) {
-      journaled.id = admission.id;
-      journal_.record_submitted(journaled);
-    }
-    if (admission.displaced) {
-      c_shed_.add(submit_slot);
-      JobRecord shed;
-      shed.id = admission.displaced->id;
-      shed.name = admission.displaced->name;
-      shed.tenant = admission.displaced->tenant;
-      shed.priority = admission.displaced->priority;
-      shed.state = JobState::kRejected;
-      shed.reject_reason =
-          "shed: displaced at capacity " +
-          std::to_string(options_.queue_capacity) +
-          " by higher-priority submission (id " +
-          std::to_string(admission.id) + ")";
-      shed.input = std::move(admission.displaced->input);
-      if (journaling) journal_.record_committed(shed);
-      publish(std::move(shed));
-    }
-  } else {
+  // Runs under the queue lock, before any worker can pick the job up:
+  // the `submitted` record and the table entry precede its `started`.
+  const auto accept = [this](const Job& accepted) {
+    if (!accepted.journaled) journal_.record_submitted(accepted);
+    JobRecord queued;
+    queued.id = accepted.id;
+    queued.name = accepted.name;
+    queued.tenant = accepted.tenant;
+    queued.priority = accepted.priority;
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    jobs_.emplace(accepted.id, std::move(queued));
+    ++open_;
+  };
+  Admission admission = queue_.submit(std::move(job), accept);
+  if (!admission.accepted) {
     c_rejected_.add(submit_slot);
     rejected.state = JobState::kRejected;
     rejected.reject_reason = admission.reason;
     publish(std::move(rejected));
+    return admission;
+  }
+  c_submitted_.add(submit_slot);
+  if (admission.displaced) {
+    c_shed_.add(submit_slot);
+    Job& victim = *admission.displaced;
+    JobRecord shed;
+    shed.id = victim.id;
+    shed.name = victim.name;
+    shed.tenant = victim.tenant;
+    shed.priority = victim.priority;
+    shed.state = JobState::kRejected;
+    const std::string by =
+        "by higher-priority submission (id " + std::to_string(admission.id) +
+        ")";
+    shed.reject_reason =
+        victim.tenant.empty()
+            ? "shed: displaced at capacity " +
+                  std::to_string(options_.queue_capacity) + " " + by
+            : "shed: tenant '" + victim.tenant +
+                  "' backlog full, displaced " + by;
+    shed.input = std::move(victim.input);
+    // The victim's `submitted` record is on disk; without a terminal
+    // record a resume would resurrect it.
+    journal_.record_committed(shed);
+    publish(std::move(shed));
   }
   return admission;
 }
@@ -144,13 +167,68 @@ void JobScheduler::adopt(JobRecord record) {
   publish(std::move(record));
 }
 
-void JobScheduler::finish_external(JobRecord record) {
-  journal_.record_committed(record);
-  publish(std::move(record));
+bool JobScheduler::cancel(std::uint64_t id, const std::string& note,
+                          std::string* error) {
+  std::optional<Job> job = queue_.cancel(id);
+  if (!job) {
+    if (error) {
+      const std::optional<JobState> state = status(id);
+      *error = "job " + std::to_string(id) +
+               (state && !terminal(*state) ? " already admitted to a worker"
+                                           : " is not pending here");
+    }
+    return false;
+  }
+  JobRecord canceled;
+  canceled.id = id;
+  canceled.name = job->name;
+  canceled.tenant = job->tenant;
+  canceled.priority = job->priority;
+  canceled.state = JobState::kCanceled;
+  canceled.error = note.empty() ? "canceled by client" : note;
+  canceled.input = std::move(job->input);
+  journal_.record_committed(canceled);
+  publish(std::move(canceled));
+  return true;
 }
 
-void JobScheduler::publish_external(JobRecord record) {
-  publish(std::move(record));
+std::optional<JobState> JobScheduler::status(std::uint64_t id) const {
+  std::lock_guard<std::mutex> lock(jobs_mutex_);
+  const auto it = id == 0 ? jobs_.end() : jobs_.find(id);
+  if (it == jobs_.end()) return std::nullopt;
+  return it->second.state;
+}
+
+std::optional<JobRecord> JobScheduler::wait(std::uint64_t id,
+                                            double timeout_seconds) {
+  std::unique_lock<std::mutex> lock(jobs_mutex_);
+  const auto it = id == 0 ? jobs_.end() : jobs_.find(id);
+  if (it == jobs_.end()) return std::nullopt;
+  // Table nodes are never erased, so `it` survives other insertions.
+  const auto done = [&] { return terminal(it->second.state); };
+  if (timeout_seconds > 0.0) {
+    if (!jobs_cv_.wait_for(
+            lock, std::chrono::duration<double>(timeout_seconds), done))
+      return std::nullopt;
+  } else {
+    jobs_cv_.wait(lock, done);
+  }
+  return it->second;
+}
+
+void JobScheduler::wait_idle() {
+  std::unique_lock<std::mutex> lock(jobs_mutex_);
+  jobs_cv_.wait(lock, [this] { return open_ == 0; });
+}
+
+std::size_t JobScheduler::tracked_jobs() const {
+  std::lock_guard<std::mutex> lock(jobs_mutex_);
+  return jobs_.size() - jobs_.count(0);
+}
+
+std::size_t JobScheduler::terminal_jobs() const {
+  std::lock_guard<std::mutex> lock(jobs_mutex_);
+  return jobs_.size() - jobs_.count(0) - open_;
 }
 
 void JobScheduler::start() {
@@ -168,23 +246,27 @@ std::vector<JobRecord> JobScheduler::drain() {
   for (auto& worker : workers_)
     if (worker.joinable()) worker.join();
   stop_watchdog();
-  drained_ = true;
-  std::lock_guard<std::mutex> lock(records_mutex_);
-  // Rejected jobs never get an id (0) and sort first, in submission
-  // order; executed jobs follow in id order.
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const JobRecord& a, const JobRecord& b) {
-                     return a.id < b.id;
-                   });
-  return records_;
+  std::lock_guard<std::mutex> lock(jobs_mutex_);
+  std::vector<JobRecord> records;
+  records.reserve(jobs_.size());
+  for (const auto& [id, record] : jobs_) records.push_back(record);
+  return records;
 }
 
 void JobScheduler::worker_loop(std::size_t worker_id) {
   while (auto popped = queue_.pop()) {
+    {
+      std::lock_guard<std::mutex> lock(jobs_mutex_);
+      const auto it = jobs_.find(popped->job.id);
+      if (it != jobs_.end()) it->second.state = JobState::kRunning;
+    }
     t_wait_.add_seconds(worker_id, popped->wait_seconds);
+    const std::string tenant = popped->job.tenant;
     JobRecord record =
         execute(std::move(popped->job), popped->wait_seconds, worker_id);
     t_run_.add_seconds(worker_id, record.run_seconds);
+    // Tenant accounting first: a client woken by the record may read it.
+    queue_.finish(tenant, record.state);
     publish(std::move(record));
   }
 }
@@ -293,7 +375,6 @@ JobRecord JobScheduler::execute(Job job, double wait_seconds,
   while (true) {
     ++record.attempts;
     journal_.record_started(job.id, record.attempts);
-    if (options_.on_started) options_.on_started(job.id, record.attempts);
     std::string fail_reason = "exception";
     if (deadline > 0.0) {
       auto token = std::make_shared<fault::CancelToken>();

@@ -1,11 +1,17 @@
 #pragma once
 
-// Multi-job execution engine: N worker threads drain the JobQueue and
-// run each job through app::run_structured under a *shared* thread
-// budget. The total budget comes from parallel::resolve_thread_count;
-// each concurrent job is capped at budget/concurrency threads, so one
-// huge condensed-phase job cannot starve a campaign of small screening
-// jobs — it just uses its slice while the others keep flowing.
+// Multi-job execution engine: N worker threads pop the JobQueue and run
+// each job through app::run_structured under a *shared* thread budget.
+// The total budget comes from parallel::resolve_thread_count; each
+// concurrent job is capped at budget/concurrency threads, so one huge
+// condensed-phase job cannot starve a campaign of small screening jobs
+// — it just uses its slice while the others keep flowing.
+//
+// The scheduler owns the engine's only queue (per-tenant backlogs, see
+// engine/queue.hpp) and its only job table: every admitted id moves
+// queued -> running -> terminal JobRecord there, and fronts read it
+// through status(), wait() and drain(). Admission rejects, which never
+// get an id, file under id 0 in submission order.
 //
 // Each job is its own fault domain: any exception escaping the driver
 // (injected faults included) is caught on the worker, retried up to
@@ -21,21 +27,24 @@
 // engine.deadline.expired, and engine.retry.backoff_ms.
 //
 // Durability (docs/engine.md): with `journal_path` set every job
-// transition is written ahead to a checksummed journal, so a killed
-// campaign resumes — committed jobs served from their journaled records,
-// in-flight jobs from their checkpoints — with bit-identical physics and
-// zero duplicated SCF work. With `store_dir` set the ResultStore writes
-// through to disk, so a resumed campaign's cache is warm. Per-job
-// wall-clock deadlines are enforced by a watchdog thread that cancels
-// overdue attempts at the next SCF-iteration cancellation point; the
-// attempt is retried after a seeded jittered exponential backoff.
+// transition is written ahead to a checksummed journal (`submitted` at
+// acceptance, before a worker can pick the job up), so a killed
+// campaign resumes — committed jobs served from their journaled
+// records, in-flight jobs from their checkpoints — with bit-identical
+// physics and zero duplicated SCF work. With `store_dir` set the
+// ResultStore writes through to disk, so a resumed campaign's cache is
+// warm. Per-job wall-clock deadlines are enforced by a watchdog thread
+// that cancels overdue attempts at the next SCF-iteration cancellation
+// point; the attempt is retried after a seeded jittered exponential
+// backoff.
 
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -66,6 +75,8 @@ double backoff_delay_ms(const BackoffOptions& options, std::uint64_t job_id,
 
 struct EngineOptions {
   std::size_t concurrency = 2;      ///< concurrent jobs (worker threads)
+  /// Bound on the untenanted backlog (jobs submitted without a tenant);
+  /// named tenants are bounded by their TenantOptions::max_queued.
   std::size_t queue_capacity = 256;
   /// Shared thread budget across all concurrent jobs; 0 resolves to
   /// hardware concurrency via parallel::resolve_thread_count.
@@ -91,21 +102,14 @@ struct EngineOptions {
   double watchdog_poll_ms = 5.0;
   /// Retry backoff policy (engine-level retries only).
   BackoffOptions backoff;
-  /// Load shedding: a strictly-higher-priority submission displaces the
-  /// lowest-priority queued job instead of being rejected when full.
+  /// Load shedding: a strictly-higher-priority submission to a full
+  /// backlog displaces that backlog's lowest-priority queued job instead
+  /// of being rejected.
   bool shed_lowest = true;
   /// Graceful degradation: when > 0 and the queue is at least this deep
   /// at pickup, DFT jobs run on a coarsened XC grid (flagged in the
   /// record). 0 disables.
   std::size_t degrade_depth = 0;
-  /// Scheduler hooks for long-lived fronts (the serve layer): called on
-  /// every terminal record — completion, failure, rejection, shed,
-  /// cancel, adopt — and at each attempt start. Both may be invoked
-  /// concurrently from worker and submitter threads; the callee must be
-  /// thread-safe and must not call back into the scheduler's blocking
-  /// APIs (drain). Empty = off.
-  std::function<void(const JobRecord&)> on_record;
-  std::function<void(std::uint64_t id, std::size_t attempt)> on_started;
 };
 
 class JobScheduler {
@@ -116,26 +120,36 @@ class JobScheduler {
   JobScheduler(const JobScheduler&) = delete;
   JobScheduler& operator=(const JobScheduler&) = delete;
 
-  /// Admission-controlled submission. A rejected job still produces a
-  /// JobRecord (state kRejected) in the final report, as does a queued
-  /// job later displaced by load shedding.
+  /// Admission-controlled submission into `job.tenant`'s backlog. A
+  /// rejected job still produces a JobRecord (state kRejected) in the
+  /// final report, as does a queued job later displaced by load
+  /// shedding.
   Admission submit(Job job);
 
-  /// Adopt a journal-replayed record: it joins the final report (flagged
+  /// Adopt a journal-replayed record: it joins the job table (flagged
   /// `replayed`), its result warms the cache, and no SCF work runs.
   void adopt(JobRecord record);
 
-  /// Commit a record produced outside the worker path (e.g. a client
-  /// cancel of a job that never reached the queue): journaled as
-  /// committed, pushed into the final report, and announced through
-  /// on_record like any other terminal record.
-  void finish_external(JobRecord record);
+  /// Withdraw a job still waiting in its backlog. The canceled record
+  /// (state kCanceled, `note` in error) is journaled as committed so a
+  /// resume never resurrects it. Returns false with `*error` set when
+  /// the job was already picked up, or is not pending at all.
+  bool cancel(std::uint64_t id, const std::string& note, std::string* error);
 
-  /// Like finish_external but without the journal entry — for terminal
-  /// records of jobs that were never journaled (admission rejects at a
-  /// quota layer), mirroring how the core queue's own rejects are
-  /// reported but not journaled.
-  void publish_external(JobRecord record);
+  /// State of job `id` in the table; nullopt for an unknown id.
+  std::optional<JobState> status(std::uint64_t id) const;
+
+  /// Block until job `id` is terminal and return its record; nullopt
+  /// when the id is unknown or `timeout_seconds` (0 = no limit) runs
+  /// out first.
+  std::optional<JobRecord> wait(std::uint64_t id, double timeout_seconds);
+
+  /// Block until every admitted job is terminal.
+  void wait_idle();
+
+  /// Ids in the job table, and how many of them are terminal.
+  std::size_t tracked_jobs() const;
+  std::size_t terminal_jobs() const;
 
   /// Launch the worker threads (idempotent; submit works before or
   /// after).
@@ -144,7 +158,7 @@ class JobScheduler {
   /// Close the queue, run every admitted job to completion, join the
   /// workers, and return all records (rejections included) ordered by
   /// job id (rejected jobs, which never get an id, sort first in
-  /// submission order).
+  /// submission order). Calling it again returns the same records.
   std::vector<JobRecord> drain();
 
   const EngineOptions& options() const { return options_; }
@@ -170,8 +184,8 @@ class JobScheduler {
 
   void worker_loop(std::size_t worker_id);
   JobRecord execute(Job job, double wait_seconds, std::size_t worker_id);
-  /// Fire on_record, then append to the final report. The hook runs
-  /// outside records_mutex_ so a callee may query the scheduler.
+  /// File a record in the job table: it replaces the job's queued or
+  /// running entry (or is added) and wakes waiters.
   void publish(JobRecord record);
   void watchdog_loop();
   void stop_watchdog();
@@ -190,8 +204,12 @@ class JobScheduler {
   obs::Counter c_deadline_expired_, c_backoff_ms_;
   obs::Timer t_wait_, t_run_;
 
-  std::mutex records_mutex_;
-  std::vector<JobRecord> records_;
+  // The job table (see the header comment). A multimap so id-0
+  // rejects keep their submission order; every other id is unique.
+  mutable std::mutex jobs_mutex_;
+  std::condition_variable jobs_cv_;
+  std::multimap<std::uint64_t, JobRecord> jobs_;
+  std::size_t open_ = 0;  ///< entries still queued or running
 
   // Running attempts, scanned by the watchdog for blown deadlines.
   std::mutex active_mutex_;
@@ -203,7 +221,6 @@ class JobScheduler {
 
   std::vector<std::thread> workers_;
   bool started_ = false;
-  bool drained_ = false;
 };
 
 }  // namespace mthfx::engine

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -17,46 +16,15 @@
 
 namespace mthfx::serve {
 
-engine::EngineOptions Server::engine_options(const ServeOptions& options) {
-  engine::EngineOptions e = options.engine;
-  e.shed_lowest = false;  // shedding is per-tenant, in the FairShareQueue
-  e.on_record = [this](const engine::JobRecord& r) { on_record(r); };
-  e.on_started = [this](std::uint64_t id, std::size_t attempt) {
-    on_started(id, attempt);
-  };
-  return e;
-}
-
 Server::Server(ServeOptions options)
-    : options_(std::move(options)),
-      scheduler_(engine_options(options_)),
-      fair_(scheduler_, options_.tenant_defaults) {
+    : options_(std::move(options)), scheduler_(options_.engine) {
+  scheduler_.queue().set_tenant_defaults(options_.tenant_defaults);
   for (const TenantConfig& t : options_.tenants)
-    fair_.configure(t.id, t.options);
+    scheduler_.queue().configure(t.id, t.options);
 }
 
 Server::~Server() {
   stop();
-}
-
-void Server::on_record(const engine::JobRecord& record) {
-  fair_.on_terminal(record);
-  if (record.id == 0) return;  // core reject without an id: untrackable
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    JobEntry& entry = jobs_[record.id];
-    entry.terminal = true;
-    entry.state = engine::to_string(record.state);
-    entry.record = engine::job_record_to_json(record);
-  }
-  jobs_cv_.notify_all();
-}
-
-void Server::on_started(std::uint64_t id, std::size_t attempt) {
-  (void)attempt;
-  std::lock_guard<std::mutex> lock(jobs_mutex_);
-  JobEntry& entry = jobs_[id];
-  if (!entry.terminal) entry.state = "running";
 }
 
 void Server::start() {
@@ -65,11 +33,11 @@ void Server::start() {
   if (options_.resume && !options_.engine.journal_path.empty()) {
     const engine::JournalReplay replay =
         engine::Journal::replay(options_.engine.journal_path);
-    fair_.set_next_id(replay.max_id() + 1);
+    scheduler_.queue().set_next_id(replay.max_id() + 1);
     for (const engine::ReplayedJob& rj : replay.jobs) {
       if (rj.committed) {
-        // The on_record hook files it into the job table, so clients
-        // polling the old id get the journaled (bit-identical) record.
+        // Clients polling the old id get the journaled (bit-identical)
+        // record from the job table.
         scheduler_.adopt(rj.record);
         ++replayed_;
       } else {
@@ -80,7 +48,7 @@ void Server::start() {
                                    std::to_string(job.id) + ".ckpt";
           if (std::ifstream(ckpt).good()) job.input.restore_path = ckpt;
         }
-        fair_.submit(job.tenant, std::move(job));
+        scheduler_.submit(std::move(job));
       }
     }
   }
@@ -177,20 +145,19 @@ obs::Json Server::handle_request(const Request& request,
     case Op::kSubmit:
       return handle_submit(request, conn_tenant);
     case Op::kStatus: {
-      std::lock_guard<std::mutex> lock(jobs_mutex_);
-      auto it = jobs_.find(request.id);
-      if (it == jobs_.end())
+      const auto state = scheduler_.status(request.id);
+      if (!state)
         return error_response("unknown job id " + std::to_string(request.id));
       obs::Json r = ok_response(Op::kStatus);
       r["id"] = request.id;
-      r["state"] = it->second.state;
+      r["state"] = engine::to_string(*state);
       return r;
     }
     case Op::kResult:
       return handle_result(request);
     case Op::kCancel: {
       std::string error;
-      if (!fair_.cancel(request.id, request.note, &error))
+      if (!scheduler_.cancel(request.id, request.note, &error))
         return error_response(error);
       obs::Json r = ok_response(Op::kCancel);
       r["id"] = request.id;
@@ -206,12 +173,9 @@ obs::Json Server::handle_request(const Request& request,
       // hand the actual teardown to the serving thread (this thread is
       // itself a connection thread and cannot join itself).
       draining_.store(true);
-      fair_.wait_idle();
+      scheduler_.wait_idle();
       obs::Json r = ok_response(Op::kDrain);
-      {
-        std::lock_guard<std::mutex> lock(jobs_mutex_);
-        r["jobs"] = jobs_.size();
-      }
+      r["jobs"] = scheduler_.tracked_jobs();
       request_stop(request.note.empty() ? "drain requested" : request.note);
       return r;
     }
@@ -224,46 +188,28 @@ obs::Json Server::handle_submit(const Request& request,
   if (draining_.load()) return error_response("server draining");
   engine::Job job;
   job.name = request.name;
+  job.tenant = conn_tenant.empty() ? "anonymous" : conn_tenant;
   job.priority = request.priority;
   job.deadline_seconds = request.deadline_s;
   job.input = request.input;
-  const engine::Admission admission =
-      fair_.submit(conn_tenant.empty() ? "anonymous" : conn_tenant,
-                   std::move(job));
+  const engine::Admission admission = scheduler_.submit(std::move(job));
   if (!admission.accepted) return error_response(admission.reason);
-  {
-    // The worker may already have finished (and filed the terminal
-    // entry) by now; try_emplace never clobbers it.
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    jobs_.try_emplace(admission.id);
-  }
   obs::Json r = ok_response(Op::kSubmit);
   r["id"] = admission.id;
   return r;
 }
 
 obs::Json Server::handle_result(const Request& request) {
-  std::unique_lock<std::mutex> lock(jobs_mutex_);
-  auto it = jobs_.find(request.id);
-  if (it == jobs_.end())
+  if (!scheduler_.status(request.id))
     return error_response("unknown job id " + std::to_string(request.id));
-  auto done = [&] { return jobs_[request.id].terminal || jobs_closing_; };
-  if (request.timeout_s > 0.0) {
-    if (!jobs_cv_.wait_for(
-            lock, std::chrono::duration<double>(request.timeout_s), done))
-      return error_response("timeout waiting for job " +
-                            std::to_string(request.id));
-  } else {
-    jobs_cv_.wait(lock, done);
-  }
-  const JobEntry& entry = jobs_[request.id];
-  if (!entry.terminal)
-    return error_response("server stopping before job " +
-                          std::to_string(request.id) + " finished");
+  const auto record = scheduler_.wait(request.id, request.timeout_s);
+  if (!record)
+    return error_response("timeout waiting for job " +
+                          std::to_string(request.id));
   obs::Json r = ok_response(Op::kResult);
   r["id"] = request.id;
-  r["state"] = entry.state;
-  r["record"] = entry.record;
+  r["state"] = engine::to_string(record->state);
+  r["record"] = engine::job_record_to_json(*record);
   return r;
 }
 
@@ -271,16 +217,33 @@ obs::Json Server::stats_json() {
   obs::Json s = obs::Json::object();
   s["draining"] = draining_.load();
   s["replayed"] = replayed_;
-  s["tenants"] = fair_.stats_json();
+
+  const engine::JobQueue& q = scheduler_.queue();
+  obs::Json tenants = obs::Json::object();
+  for (const auto& [id, t] : q.stats()) {
+    obs::Json j = obs::Json::object();
+    j["weight"] = t.options.weight;
+    j["max_queued"] = t.options.max_queued;
+    j["max_in_flight"] = t.options.max_in_flight;
+    j["queued"] = t.queued;
+    j["in_flight"] = t.in_flight;
+    j["submitted"] = t.submitted;
+    j["admitted"] = t.admitted;
+    j["completed"] = t.completed;
+    j["failed"] = t.failed;
+    j["rejected"] = t.rejected;
+    j["shed"] = t.shed;
+    j["canceled"] = t.canceled;
+    tenants[id] = std::move(j);
+  }
+  s["tenants"] = std::move(tenants);
 
   obs::Json queue = obs::Json::object();
-  queue["depth"] = scheduler_.queue().depth();
-  queue["capacity"] = scheduler_.queue().capacity();
-  queue["accepted"] = scheduler_.queue().accepted();
-  queue["rejected"] = scheduler_.queue().rejected();
-  queue["high_water"] = scheduler_.queue().high_water();
-  queue["tenant_backlog"] = fair_.backlog();
-  queue["tenant_in_flight"] = fair_.in_flight();
+  queue["depth"] = q.depth();
+  queue["accepted"] = q.accepted();
+  queue["rejected"] = q.rejected();
+  queue["shed"] = q.shed();
+  queue["high_water"] = q.high_water();
   s["queue"] = std::move(queue);
 
   obs::Json cache = obs::Json::object();
@@ -289,16 +252,9 @@ obs::Json Server::stats_json() {
   cache["entries"] = scheduler_.store().size();
   s["cache"] = std::move(cache);
 
-  std::size_t tracked = 0, terminal = 0;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    tracked = jobs_.size();
-    for (const auto& [id, entry] : jobs_)
-      if (entry.terminal) ++terminal;
-  }
   obs::Json jobs = obs::Json::object();
-  jobs["tracked"] = tracked;
-  jobs["terminal"] = terminal;
+  jobs["tracked"] = scheduler_.tracked_jobs();
+  jobs["terminal"] = scheduler_.terminal_jobs();
   s["jobs"] = std::move(jobs);
   return s;
 }
@@ -320,25 +276,17 @@ void Server::wait_for_stop() {
 std::vector<engine::JobRecord> Server::stop() {
   {
     std::lock_guard<std::mutex> lock(stop_mutex_);
-    if (stopped_) return records_;
+    if (stopped_) return scheduler_.drain();
     stopped_ = true;
     if (stop_reason_.empty()) stop_reason_ = "stop";
   }
   stop_flag_.store(true);
   draining_.store(true);
 
-  // Finish everything accepted: tenant backlogs drain through the pump
-  // as workers free up, then the core queue runs dry.
-  fair_.wait_idle();
-  records_ = scheduler_.drain();
+  // Finish everything accepted. Every tracked job is terminal
+  // afterwards, so no connection stays parked in a `result` wait.
+  std::vector<engine::JobRecord> records = scheduler_.drain();
   scheduler_.journal().record_shutdown(stop_reason_);
-  {
-    // Every accepted job is terminal by now; release any straggler
-    // still parked in a blocking `result` wait.
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    jobs_closing_ = true;
-  }
-  jobs_cv_.notify_all();
 
   // Tear down the listener (unblocks accept) and every connection
   // (unblocks their reads), then join.
@@ -360,7 +308,7 @@ std::vector<engine::JobRecord> Server::stop() {
   for (Connection& conn : connections_)
     if (conn.thread.joinable()) conn.thread.join();
   connections_.clear();
-  return records_;
+  return records;
 }
 
 }  // namespace mthfx::serve

@@ -1,23 +1,24 @@
 #pragma once
 
 // Long-lived multi-tenant screening service: a TCP front-end speaking
-// the NDJSON line protocol (serve/protocol.hpp) in front of the
-// JobScheduler + FairShareQueue stack. One accept thread, one thread
-// per connection, strictly request/response per connection; results are
-// delivered by a blocking `result` op against a server-side job table
-// that the scheduler's on_record/on_started hooks keep current.
+// the NDJSON line protocol (serve/protocol.hpp) over one JobScheduler.
+// One accept thread, one thread per connection, strictly
+// request/response per connection. The server keeps no job state of its
+// own: submit goes to the scheduler's per-tenant backlogs (each
+// connection's `hello` names its tenant), and status/result/cancel read
+// the scheduler's job table — `result` blocks in JobScheduler::wait and
+// renders the terminal record on demand.
 //
-// Durability: the engine's write-ahead journal records every tenant
-// submission (FairShareQueue journals at admission), so a SIGKILLed
-// server restarted with `resume = true` adopts committed records
-// (bit-identical energies, zero recomputed SCF work) and resubmits the
-// rest under their original ids — reconnecting clients keep polling the
-// same ids. A graceful stop drains in-flight work and appends a clean
-// `shutdown` journal record.
+// Durability: the engine's write-ahead journal records every submission
+// at acceptance, so a SIGKILLed server restarted with `resume = true`
+// adopts committed records (bit-identical energies, zero recomputed SCF
+// work) and resubmits the rest under their original ids — reconnecting
+// clients keep polling the same ids. A graceful stop drains in-flight
+// work and appends a clean `shutdown` journal record.
 //
-// Shedding policy lives in the tenant layer (per-tenant backlog
-// displacement); the core queue runs with shed_lowest forced off so one
-// tenant's burst can never displace another tenant's admitted work.
+// Shedding (EngineOptions::shed_lowest) displaces only within the
+// arrival's own tenant backlog, so one tenant's burst can never
+// displace another tenant's work.
 
 #include <atomic>
 #include <condition_variable>
@@ -26,11 +27,9 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/scheduler.hpp"
-#include "engine/tenant.hpp"
 #include "obs/json.hpp"
 #include "serve/protocol.hpp"
 
@@ -48,8 +47,8 @@ struct ServeOptions {
   /// Reject submit/status/result/cancel until the connection sent a
   /// `hello`; stats and drain are always allowed.
   bool require_hello = true;
-  /// Engine configuration. `shed_lowest` is forced off (see above);
-  /// `on_record`/`on_started` are owned by the server.
+  /// Engine configuration. `queue_capacity` bounds only untenanted
+  /// submissions, which the server never makes.
   engine::EngineOptions engine;
   /// Quota/weight for tenants not listed in `tenants`.
   engine::TenantOptions tenant_defaults;
@@ -87,27 +86,17 @@ class Server {
   std::vector<engine::JobRecord> stop();
 
   engine::JobScheduler& scheduler() { return scheduler_; }
-  engine::FairShareQueue& fair_share() { return fair_; }
   std::size_t replayed() const { return replayed_; }
   obs::Json stats_json();
 
  private:
-  struct JobEntry {
-    std::string state = "queued";
-    bool terminal = false;
-    obs::Json record;  ///< full job_record_to_json once terminal
-  };
   struct Connection {
     int fd = -1;
     std::thread thread;
   };
 
-  engine::EngineOptions engine_options(const ServeOptions& options);
-  void on_record(const engine::JobRecord& record);
-  void on_started(std::uint64_t id, std::size_t attempt);
   void accept_loop();
   void handle_connection(Connection* conn);
-  /// nullopt = no response (connection should close without replying).
   obs::Json handle_request(const Request& request, std::string& conn_tenant);
   obs::Json handle_submit(const Request& request,
                           const std::string& conn_tenant);
@@ -115,7 +104,6 @@ class Server {
 
   ServeOptions options_;
   engine::JobScheduler scheduler_;
-  engine::FairShareQueue fair_;
 
   // Atomic: stop() closes and clears the fd while accept_loop() reads
   // it into ::accept on another thread.
@@ -126,18 +114,12 @@ class Server {
   std::list<Connection> connections_;  ///< stable addresses for threads
   bool accepting_ = false;
 
-  std::mutex jobs_mutex_;
-  std::condition_variable jobs_cv_;
-  std::unordered_map<std::uint64_t, JobEntry> jobs_;
-  bool jobs_closing_ = false;  ///< wakes result-waiters during stop()
-
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_flag_{false};
   std::mutex stop_mutex_;
   std::condition_variable stop_cv_;
   std::string stop_reason_;
   bool stopped_ = false;
-  std::vector<engine::JobRecord> records_;
   std::size_t replayed_ = 0;
 };
 

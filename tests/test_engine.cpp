@@ -1,13 +1,16 @@
-// Screening-engine suite (ctest label: engine): JobQueue admission and
-// ordering, ResultStore canonical keys and hit accounting, JobScheduler
-// concurrency/bit-identity/fault-domain behavior, campaign parsing and
-// expansion, and the machine-readable report schemas.
+// Screening-engine suite (ctest label: engine): JobQueue admission,
+// ordering and per-tenant fair share, ResultStore canonical keys and hit
+// accounting, JobScheduler concurrency/bit-identity/fault-domain
+// behavior, campaign parsing and expansion, and the machine-readable
+// report schemas.
 //
 // The concurrency tests double as the TSan target for the engine (see
 // scripts/run_tsan.sh): workers, submitters, and the registry race here.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -19,7 +22,6 @@
 #include "engine/report.hpp"
 #include "engine/result_store.hpp"
 #include "engine/scheduler.hpp"
-#include "engine/tenant.hpp"
 #include "obs/json.hpp"
 #include "workload/geometries.hpp"
 #include "workload/replicate.hpp"
@@ -558,13 +560,20 @@ TEST(Report, RejectedJobRecordKeepsOnlyAdmissionFields) {
 // ----------------------------------------------------- fair-share tenancy
 
 namespace {
-const engine::TenantStats& tenant_stats(const engine::FairShareQueue& fair,
+engine::Job tenant_job(const std::string& tenant, const std::string& name,
+                       int priority = 0) {
+  engine::Job job = h2_job(name, priority);
+  job.tenant = tenant;
+  return job;
+}
+
+const engine::TenantStats& tenant_stats(const engine::JobQueue& queue,
                                         const std::string& id) {
-  static engine::TenantStats none;
-  for (const auto& [tenant, stats] : fair.stats())
-    if (tenant == id) return stats;
+  static engine::TenantStats snapshot;
+  for (const auto& [tenant, stats] : queue.stats())
+    if (tenant == id) return snapshot = stats;
   ADD_FAILURE() << "no stats for tenant '" << id << "'";
-  return none;
+  return snapshot = {};
 }
 }  // namespace
 
@@ -580,92 +589,98 @@ TEST(JobQueue, RejectReasonFormatIsPinned) {
 }
 
 TEST(FairShare, TenantQuotaRejectReasonFormatIsPinned) {
-  engine::EngineOptions opts;
-  opts.concurrency = 1;
-  opts.queue_capacity = 1;  // core holds one job; the rest stay pending
-  engine::JobScheduler scheduler(opts);  // never started: nothing runs
-  engine::FairShareQueue fair(scheduler);
+  // Capacity 1 bounds only the untenanted backlog; tenants have quotas.
+  engine::JobQueue queue(1);
   engine::TenantOptions acme;
   acme.max_queued = 2;
-  fair.configure("acme", acme);
-  ASSERT_TRUE(fair.submit("acme", h2_job("a")).accepted);  // -> core queue
-  ASSERT_TRUE(fair.submit("acme", h2_job("b")).accepted);  // pending 1/2
-  ASSERT_TRUE(fair.submit("acme", h2_job("c")).accepted);  // pending 2/2
-  const auto verdict = fair.submit("acme", h2_job("d"));
+  queue.configure("acme", acme);
+  ASSERT_TRUE(queue.submit(tenant_job("acme", "a")).accepted);
+  ASSERT_TRUE(queue.pop().has_value());  // a worker took it: in flight
+  ASSERT_TRUE(queue.submit(tenant_job("acme", "b")).accepted);  // 1/2
+  ASSERT_TRUE(queue.submit(tenant_job("acme", "c")).accepted);  // 2/2
+  const auto verdict = queue.submit(tenant_job("acme", "d"));
   EXPECT_FALSE(verdict.accepted);
   EXPECT_EQ(verdict.reason, "tenant quota: 'acme' queued 2/2 (in-flight 1)");
   // With an in-flight cap the reason carries it as a /cap suffix.
-  engine::JobScheduler scheduler2(opts);
-  engine::FairShareQueue fair2(scheduler2);
+  engine::JobQueue queue2(1);
   engine::TenantOptions capped;
   capped.max_queued = 1;
   capped.max_in_flight = 1;
-  fair2.configure("beta", capped);
-  ASSERT_TRUE(fair2.submit("beta", h2_job("x")).accepted);  // -> core queue
-  ASSERT_TRUE(fair2.submit("beta", h2_job("y")).accepted);  // pending 1/1
-  EXPECT_EQ(fair2.submit("beta", h2_job("z")).reason,
+  queue2.configure("beta", capped);
+  ASSERT_TRUE(queue2.submit(tenant_job("beta", "x")).accepted);
+  ASSERT_TRUE(queue2.pop().has_value());  // in flight 1/1
+  ASSERT_TRUE(queue2.submit(tenant_job("beta", "y")).accepted);  // 1/1
+  EXPECT_EQ(queue2.submit(tenant_job("beta", "z")).reason,
             "tenant quota: 'beta' queued 1/1 (in-flight 1/1)");
 }
 
 TEST(FairShare, DeficitRoundRobinHonoursWeights) {
   engine::EngineOptions opts;
   opts.concurrency = 1;
-  opts.queue_capacity = 6;
-  engine::JobScheduler scheduler(opts);  // never started: admissions are
-  engine::FairShareQueue fair(scheduler);  // pure DRR decisions
+  engine::JobScheduler scheduler(opts);  // never started: this test pops
+  engine::JobQueue& queue = scheduler.queue();
   engine::TenantOptions heavy, light;
   heavy.weight = 2.0;
   light.weight = 1.0;
-  fair.configure("heavy", heavy);
-  fair.configure("light", light);
-  // Plug the core queue first so heavy/light submissions all land in
-  // their tenant backlogs — with free slots admission is FIFO-on-arrival
-  // and no fair-share decision happens.
-  for (int i = 0; i < 6; ++i)
-    ASSERT_TRUE(fair.submit("plug", h2_job("p" + std::to_string(i))).accepted);
+  queue.configure("heavy", heavy);
+  queue.configure("light", light);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(
-        fair.submit("heavy", h2_job("h" + std::to_string(i))).accepted);
-    ASSERT_TRUE(
-        fair.submit("light", h2_job("l" + std::to_string(i))).accepted);
+    ASSERT_TRUE(scheduler.submit(tenant_job("heavy", "h" + std::to_string(i)))
+                    .accepted);
+    ASSERT_TRUE(scheduler.submit(tenant_job("light", "l" + std::to_string(i)))
+                    .accepted);
   }
-  EXPECT_EQ(fair.backlog(), 20u);
-  // Drain the plugs as a worker pool would, then pump: the six freed
-  // slots must split 2:1 by weight — heavy 4, light 2.
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(scheduler.queue().pop().has_value());
-  fair.pump();
-  EXPECT_EQ(tenant_stats(fair, "heavy").admitted, 4u);
-  EXPECT_EQ(tenant_stats(fair, "light").admitted, 2u);
-  EXPECT_EQ(fair.backlog(), 14u);
+  EXPECT_EQ(queue.depth(), 20u);
+  // Six pickups with both backlogs full split 2:1 by weight — from the
+  // very first pickup, with no capacity to fill first.
+  std::size_t heavy_pops = 0, light_pops = 0;
+  for (int i = 0; i < 6; ++i) {
+    const auto popped = queue.pop();
+    ASSERT_TRUE(popped.has_value());
+    ++(popped->job.tenant == "heavy" ? heavy_pops : light_pops);
+  }
+  EXPECT_EQ(heavy_pops, 4u);
+  EXPECT_EQ(light_pops, 2u);
+  EXPECT_EQ(tenant_stats(queue, "heavy").admitted, 4u);
+  EXPECT_EQ(tenant_stats(queue, "light").admitted, 2u);
+  EXPECT_EQ(queue.depth(), 14u);
 }
 
 TEST(FairShare, InFlightCapHoldsJobsBackUntilCompletions) {
-  engine::EngineOptions opts;
-  opts.concurrency = 1;
-  opts.queue_capacity = 8;
-  engine::JobScheduler scheduler(opts);
-  engine::FairShareQueue fair(scheduler);
+  engine::JobQueue queue(8);
   engine::TenantOptions capped;
   capped.max_in_flight = 2;
-  fair.configure("capped", capped);
+  queue.configure("capped", capped);
   for (int i = 0; i < 5; ++i)
     ASSERT_TRUE(
-        fair.submit("capped", h2_job("j" + std::to_string(i))).accepted);
-  // Only two admitted despite six free core slots.
-  EXPECT_EQ(tenant_stats(fair, "capped").admitted, 2u);
-  EXPECT_EQ(fair.backlog(), 3u);
+        queue.submit(tenant_job("capped", "j" + std::to_string(i))).accepted);
+  ASSERT_TRUE(queue.pop().has_value());
+  ASSERT_TRUE(queue.pop().has_value());
+  std::atomic<bool> third{false};
+  std::thread worker([&] { third = queue.pop().has_value(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Only two admitted despite a waiting worker.
+  EXPECT_EQ(tenant_stats(queue, "capped").admitted, 2u);
+  EXPECT_EQ(queue.depth(), 3u);
+  EXPECT_FALSE(third.load());
+  queue.finish("capped", engine::JobState::kDone);  // a completion
+  worker.join();
+  EXPECT_TRUE(third.load());
+  EXPECT_EQ(tenant_stats(queue, "capped").admitted, 3u);
+  EXPECT_EQ(tenant_stats(queue, "capped").completed, 1u);
 }
 
 TEST(FairShare, ConfigureRejectsNonsenseOptions) {
-  engine::EngineOptions opts;
-  engine::JobScheduler scheduler(opts);
-  engine::FairShareQueue fair(scheduler);
+  engine::JobQueue queue(4);
   engine::TenantOptions bad;
   bad.weight = 0.0;
-  EXPECT_THROW(fair.configure("t", bad), std::invalid_argument);
+  EXPECT_THROW(queue.configure("t", bad), std::invalid_argument);
   bad.weight = 1.0;
   bad.max_queued = 0;
-  EXPECT_THROW(fair.configure("t", bad), std::invalid_argument);
+  EXPECT_THROW(queue.configure("t", bad), std::invalid_argument);
+  // The untenanted backlog is sized by the queue capacity.
+  EXPECT_THROW(queue.configure("", engine::TenantOptions{}),
+               std::invalid_argument);
 }
 
 TEST(FairShare, CancelRemovesPendingJobAndRecordsIt) {
@@ -673,18 +688,22 @@ TEST(FairShare, CancelRemovesPendingJobAndRecordsIt) {
   opts.concurrency = 1;
   opts.queue_capacity = 1;
   engine::JobScheduler scheduler(opts);
-  engine::FairShareQueue fair(scheduler);
-  ASSERT_TRUE(fair.submit("t", h2_job("runs")).accepted);  // fills core
-  const auto pending = fair.submit("t", h2_job("waits"));
+  const auto runs = scheduler.submit(tenant_job("t", "runs"));
+  ASSERT_TRUE(runs.accepted);
+  ASSERT_TRUE(scheduler.queue().pop().has_value());  // picked up
+  const auto pending = scheduler.submit(tenant_job("t", "waits"));
   ASSERT_TRUE(pending.accepted);
   std::string error;
-  EXPECT_FALSE(fair.cancel(999, "", &error));
+  EXPECT_FALSE(scheduler.cancel(999, "", &error));
   EXPECT_EQ(error, "job 999 is not pending here");
-  EXPECT_TRUE(fair.cancel(pending.id, "changed my mind", &error));
-  EXPECT_EQ(fair.backlog(), 0u);
-  EXPECT_EQ(tenant_stats(fair, "t").canceled, 1u);
-  // Canceling an already-admitted job is the scheduler's problem, not
-  // the sub-queue's: callers get a distinct error.
+  // A picked-up job is beyond cancellation, with a distinct error.
+  EXPECT_FALSE(scheduler.cancel(runs.id, "", &error));
+  EXPECT_EQ(error, "job " + std::to_string(runs.id) +
+                       " already admitted to a worker");
+  EXPECT_TRUE(scheduler.cancel(pending.id, "changed my mind", &error));
+  EXPECT_EQ(scheduler.queue().depth(), 0u);
+  EXPECT_EQ(tenant_stats(scheduler.queue(), "t").canceled, 1u);
+  EXPECT_EQ(scheduler.status(pending.id), engine::JobState::kCanceled);
   const auto records = scheduler.drain();
   bool saw_cancel = false;
   for (const auto& r : records)

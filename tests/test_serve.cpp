@@ -338,11 +338,44 @@ TEST(Serve, MidJobDisconnectDoesNotLoseTheJob) {
 
 // ------------------------------------------------------- fair sharing
 
+TEST(Serve, PriorityOrdersATenantsBacklog) {
+  serve::ServeOptions options = quick_options();
+  options.engine.concurrency = 1;
+  options.engine.total_threads = 1;
+  options.engine.queue_capacity = 1;  // bounds only untenanted work
+  options.engine.cache = false;
+  serve::Server server(options);
+  server.start();
+  serve::Client client("127.0.0.1", server.port());
+  client.hello("acme");
+
+  // A straggler holds the only worker while both jobs queue behind it.
+  obs::Json blocker = client.submit("blocker", slow_h2_input(0.0, 0.05));
+  ASSERT_TRUE(member(blocker, "ok").as_bool()) << blocker.dump();
+  obs::Json low = client.submit("early-low", slow_h2_input(1e-3, 0.02),
+                                /*priority=*/0);
+  obs::Json high = client.submit("late-high", slow_h2_input(2e-3, 0.02),
+                                 /*priority=*/5);
+  ASSERT_TRUE(member(low, "ok").as_bool()) << low.dump();
+  ASSERT_TRUE(member(high, "ok").as_bool()) << high.dump();
+  auto id_of = [&](const obs::Json& submitted) {
+    return static_cast<std::uint64_t>(member(submitted, "id").as_int());
+  };
+
+  // One worker: the later, higher-priority job ran first, so it is done
+  // by the time the earlier, lower-priority one is.
+  obs::Json low_result = client.result(id_of(low), 60.0);
+  EXPECT_EQ(member(low_result, "state").as_string(), "done")
+      << low_result.dump();
+  EXPECT_EQ(member(client.status(id_of(high)), "state").as_string(), "done");
+  server.stop();
+}
+
 TEST(Serve, WeightedFairShareRatioUnderSaturation) {
   serve::ServeOptions options = quick_options();
   options.engine.concurrency = 2;
   options.engine.total_threads = 2;
-  options.engine.queue_capacity = 2;  // small core: DRR decides admission
+  options.engine.queue_capacity = 2;  // bounds only untenanted work
   options.engine.cache = false;       // every job really runs
   serve::TenantConfig heavy, light;
   heavy.id = "heavy";
@@ -355,8 +388,8 @@ TEST(Serve, WeightedFairShareRatioUnderSaturation) {
   serve::Server server(options);
   server.start();
 
-  // Saturate: both tenants pre-load far more work than the core queue
-  // admits, so every admission is a DRR decision.
+  // Saturate: both tenants pre-load far more work than two workers can
+  // take, so every pickup is a DRR decision.
   constexpr int kJobs = 45;
   serve::Client heavy_client("127.0.0.1", server.port());
   serve::Client light_client("127.0.0.1", server.port());
